@@ -1,12 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration errors (bad expression, bad config value, budget too small).
+configuration errors (bad expression, bad config value, budget too small),
+3 any other error (an internal consistency check, running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -18,6 +20,7 @@ from .verify import (SeriesCache, identity_suite, matrix_suite, oracle_suite,
                      ring_law_suite, theorem_suite, vector_suite)
 
 USAGE_ERROR = 2
+_INTERNAL_ERROR = 3
 
 
 @dataclass
@@ -101,6 +104,20 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift CPython's int-to-str digit limit; parsing input keeps it."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # -- expand --------------------------------------------------------------
 
 def cmd_expand(args, config):
@@ -109,17 +126,18 @@ def cmd_expand(args, config):
     series = expand_spec(spec, order)
     lo = min(series.lead, 0) if not series.is_zero else 0
     pairs = [(n, series.coefficient(n)) for n in range(lo, order + 1)]
-    if config.format == "json":
-        payload = {"expression": spec.render(), "order": order,
-                   "coefficients": [[n, str(c)] for n, c in pairs]}
-        _emit(_json_text(payload), config.out)
-    elif config.format == "csv":
-        lines = ["n,coefficient"] + [f"{n},{c}" for n, c in pairs]
-        _emit("\n".join(lines) + "\n", config.out)
-    else:
-        lines = [f"{spec.render()} expanded to order {order}"]
-        lines += [f"  q^{n}: {c}" for n, c in pairs]
-        _emit("\n".join(lines) + "\n", config.out)
+    with _any_int_length():
+        if config.format == "json":
+            payload = {"expression": spec.render(), "order": order,
+                       "coefficients": [[n, str(c)] for n, c in pairs]}
+            _emit(_json_text(payload), config.out)
+        elif config.format == "csv":
+            lines = ["n,coefficient"] + [f"{n},{c}" for n, c in pairs]
+            _emit("\n".join(lines) + "\n", config.out)
+        else:
+            lines = [f"{spec.render()} expanded to order {order}"]
+            lines += [f"  q^{n}: {c}" for n, c in pairs]
+            _emit("\n".join(lines) + "\n", config.out)
     return 0
 
 
@@ -213,47 +231,49 @@ def cmd_dump(args, config):
     if args.what == "matrix":
         table = MatrixTable(depth)
         rows = [table.row(i) for i in range(1, depth + 1)]
-        if config.format == "json":
-            payload = {"rows": [{"i": i, "entries": [str(c) for c in row]}
-                                for i, row in enumerate(rows, start=1)]}
-            _emit(_json_text(payload), config.out)
-        elif config.format == "csv":
-            lines = ["i,entries"]
-            lines += [",".join([str(i)] + [str(c) for c in row])
-                      for i, row in enumerate(rows, start=1)]
-            _emit("\n".join(lines) + "\n", config.out)
-        else:
-            lines = [f"row {i}: {' '.join(str(c) for c in row)}"
-                     for i, row in enumerate(rows, start=1)]
-            _emit("\n".join(lines) + "\n", config.out)
+        with _any_int_length():
+            if config.format == "json":
+                payload = {"rows": [{"i": i, "entries": [str(c) for c in row]}
+                                    for i, row in enumerate(rows, start=1)]}
+                _emit(_json_text(payload), config.out)
+            elif config.format == "csv":
+                lines = ["i,entries"]
+                lines += [",".join([str(i)] + [str(c) for c in row])
+                          for i, row in enumerate(rows, start=1)]
+                _emit("\n".join(lines) + "\n", config.out)
+            else:
+                lines = [f"row {i}: {' '.join(str(c) for c in row)}"
+                         for i, row in enumerate(rows, start=1)]
+                _emit("\n".join(lines) + "\n", config.out)
         return 0
 
     families = [args.family] if args.family else ["X", "Y"]
-    payload = []
-    for family in families:
-        for v in chain(family, depth):
+    vectors = [v for family in families for v in chain(family, depth)]
+    with _any_int_length():
+        payload = []
+        for v in vectors:
             checks = check_valuations(v)
             payload.append({
-                "family": family, "alpha": v.alpha,
+                "family": v.family, "alpha": v.alpha,
                 "entries": [str(c) for c in v.entries],
                 "nu": ["inf" if c.nu == float("inf") else c.nu for c in checks],
                 "tight": [c.index for c in checks if c.tight],
             })
-    if config.format == "json":
-        _emit(_json_text({"vectors": payload}), config.out)
-    elif config.format == "csv":
-        lines = ["family,alpha,entries"]
-        lines += [",".join([p["family"], str(p["alpha"])] + p["entries"])
-                  for p in payload]
-        _emit("\n".join(lines) + "\n", config.out)
-    else:
-        lines = []
-        for p in payload:
-            lines.append(f"{p['family']}[{p['alpha']}]: "
-                         f"({', '.join(p['entries'])})")
-            lines.append(f"  nu = ({', '.join(str(n) for n in p['nu'])}); "
-                         f"tight at {p['tight']}")
-        _emit("\n".join(lines) + "\n", config.out)
+        if config.format == "json":
+            _emit(_json_text({"vectors": payload}), config.out)
+        elif config.format == "csv":
+            lines = ["family,alpha,entries"]
+            lines += [",".join([p["family"], str(p["alpha"])] + p["entries"])
+                      for p in payload]
+            _emit("\n".join(lines) + "\n", config.out)
+        else:
+            lines = []
+            for p in payload:
+                lines.append(f"{p['family']}[{p['alpha']}]: "
+                             f"({', '.join(p['entries'])})")
+                lines.append(f"  nu = ({', '.join(str(n) for n in p['nu'])}); "
+                             f"tight at {p['tight']}")
+            _emit("\n".join(lines) + "\n", config.out)
     return 0
 
 
@@ -319,6 +339,9 @@ def main(argv=None):
             OverflowError, ZeroDivisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
+        return _INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Row i lists the integers m(i, 1..i) with
 
 where ``source`` and ``target`` are the two eta quotients returned by
 :func:`source_quotient` and :func:`target_quotient`.  Rows 1..3 are fixed
-base data; later rows follow a three-term recurrence with a column shift.
+base data; later rows follow a three-term recurrence with a column shift,
+run on scaled rows with 3^scaled_floor(i, j) divided out of entry j
+(:func:`iter_scaled_rows`); the table multiplies those powers back in.
 Structural zero patterns are asserted every time a row is produced.
 
 Three overlapping reindexed views (kinds A, B, C) drive the coefficient
@@ -18,8 +20,6 @@ from __future__ import annotations
 from .eta import expand_spec, parse
 from .huffing import MOD3, huff
 from .series import Series
-
-_BASE_ROWS = ((3,), (2, 27), (1, 27, 243))
 
 _KINDS = ("A", "B", "C")
 
@@ -51,34 +51,6 @@ def _check_zero_pattern(i, row):
             if row[j]:
                 raise ZeroPatternViolation(
                     f"entry ({i}, {j + 1}) should be zero, got {row[j]}")
-
-
-def _next_row(r1, r2, r3):
-    """Row i from rows i-1, i-2, i-3; entry j mixes column j-1 of each."""
-    pad2 = list(r2) + [0] * (len(r1) - len(r2))
-    pad3 = list(r3) + [0] * (len(r1) - len(r3))
-    row = [0]
-    row.extend(9 * x + 3 * y + z for x, y, z in zip(r1, pad2, pad3))
-    return row
-
-
-def iter_rows(limit):
-    """Yield (i, row) for 1 <= i <= limit keeping only three rows live."""
-    if limit < 1:
-        return
-    window = []
-    for i, base in enumerate(_BASE_ROWS, start=1):
-        if i > limit:
-            return
-        row = list(base)
-        _check_zero_pattern(i, row)
-        yield i, row
-        window.append(row)
-    for i in range(4, limit + 1):
-        row = _next_row(window[2], window[1], window[0])
-        _check_zero_pattern(i, row)
-        yield i, row
-        window = [window[1], window[2], row]
 
 
 def scaled_floor(i, j):
@@ -140,17 +112,12 @@ class MatrixTable:
         return len(self._rows)
 
     def extend(self, depth):
-        """Grow to at least ``depth`` rows."""
-        while len(self._rows) < min(depth, 3):
-            i = len(self._rows) + 1
-            row = tuple(_BASE_ROWS[i - 1])
-            _check_zero_pattern(i, row)
-            self._rows.append(row)
-        while len(self._rows) < depth:
-            i = len(self._rows) + 1
-            row = tuple(_next_row(self._rows[-1], self._rows[-2], self._rows[-3]))
-            _check_zero_pattern(i, row)
-            self._rows.append(row)
+        """Grow to at least ``depth`` rows, rescaling the scaled rows."""
+        pow3 = [3 ** k for k in range(2 * depth)]  # scaled_floor(i, j) < 2i
+        for i, row in iter_scaled_rows(depth):
+            if i > self.depth:
+                self._rows.append(tuple(u * pow3[scaled_floor(i, j)]
+                                        for j, u in enumerate(row, start=1)))
         return self
 
     def row(self, i):

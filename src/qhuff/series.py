@@ -298,18 +298,7 @@ class Series:
 
     def invert(self):
         """Multiplicative inverse to the propagated validity bound."""
-        if self.is_zero:
-            raise NonUnitLead("cannot invert the zero series")
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise NonUnitLead(f"lead coefficient {c0} is not a unit")
-        if self.valid_to == INF:
-            if len(self.coeffs) == 1:
-                return Series(-self.lead, (c0,), INF)
-            raise ValueError("cannot invert an exact multi-term series; truncate it first")
-        run = self.valid_to - self.lead + 1
-        out = _recip_core([1], self.coeffs, run)
-        return Series(-self.lead, out, self.valid_to - 2 * self.lead)
+        return Series.one().div(self)
 
     def div(self, other):
         """Fused self/other; cheaper than mul(invert) for sparse divisors."""

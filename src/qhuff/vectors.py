@@ -164,24 +164,22 @@ def _step_streaming(v):
     return CoeffVector(v.family, v.alpha + 1, out)
 
 
-def advance(v, table=None):
-    """One step, materialised when the table is shallow enough to be cheap."""
+def advance(v):
+    """One step: through a fresh table up to ``_STREAM_THRESHOLD`` rows, streamed past."""
     need = required_depth(v)
-    if table is not None and table.depth >= need:
-        return step(v, table)
     if need <= _STREAM_THRESHOLD:
         return step(v, MatrixTable(max(need, 1)))
     return _step_streaming(v)
 
 
-def chain(family, alpha_max, table=None):
-    """Vectors for alpha = 0 .. alpha_max."""
+def chain(family, alpha_max):
+    """Vectors for alpha = 0 .. alpha_max, each from the last by :func:`advance`."""
     if alpha_max < 0:
         raise ValueError(f"alpha_max {alpha_max} must be nonnegative")
     v = initial_vector(family)
     out = [v]
     for _ in range(alpha_max):
-        v = advance(v, table)
+        v = advance(v)
         out.append(v)
     return out
 

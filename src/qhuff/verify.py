@@ -163,14 +163,12 @@ class SeriesCache:
         self._store = {}
 
     def family(self, name, valid_to):
-        cur = self._store.get(name)
-        if cur is None or cur.valid_to < valid_to:
-            cur = expand_spec(FAMILIES[name].spec, valid_to)
-            self._store[name] = cur
-        return cur
+        return self._lookup(name, FAMILIES[name].spec, valid_to)
 
     def spec(self, spec, valid_to):
-        key = spec.render()
+        return self._lookup(spec.render(), spec, valid_to)
+
+    def _lookup(self, key, spec, valid_to):
         cur = self._store.get(key)
         if cur is None or cur.valid_to < valid_to:
             cur = expand_spec(spec, valid_to)

@@ -1,9 +1,12 @@
 import json
 import re
+import sys
 
 import pytest
 
 from qhuff import cli
+from qhuff.matrices import ZeroPatternViolation
+from qhuff.vectors import CoeffVector
 from qhuff.verify import ItemReport, SuiteReport
 
 
@@ -46,9 +49,11 @@ def test_expand_csv_to_file(capsys, tmp_path):
 
 
 def test_expand_bad_expression(capsys):
-    rc, _, err = run(capsys, "expand", "f1^^2")
-    assert rc == 2
-    assert err.startswith("error:")
+    # a literal over CPython's 4300-digit str() limit stays refused
+    for expression in ("f1^^2", "1" + "0" * 5000):
+        rc, _, err = run(capsys, "expand", expression)
+        assert rc == 2
+        assert err.startswith("error:")
 
 
 def test_usage_errors(capsys):
@@ -74,6 +79,19 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert cli.main(["verify", "matrix"]) == 1
     out = capsys.readouterr().out
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"),
+                                 ZeroPatternViolation("entry (8, 1)"),
+                                 MemoryError()])
+def test_other_errors_exit_3(capsys, monkeypatch, exc):
+    def fail(spec, order):
+        raise exc
+
+    monkeypatch.setattr(cli, "expand_spec", fail)
+    rc, out, err = run(capsys, "expand", "f1")
+    assert rc == 3 and not out
+    assert err == f"error: {exc!r}\n"
 
 
 def test_verify_json_shape(capsys, monkeypatch):
@@ -135,6 +153,25 @@ def test_dump_vectors_json(capsys):
     x2 = [v for v in payload["vectors"]
           if v["family"] == "X" and v["alpha"] == 2][0]
     assert x2["entries"] == ["3", "81", "729"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_dump_vectors_past_str_digit_limit(capsys, monkeypatch, fmt):
+    huge = 3 ** 10000  # 4772 digits, over CPython's default limit of 4300
+    monkeypatch.setattr(cli, "chain",
+                        lambda family, depth: [CoeffVector("Y", 0, (huge,))])
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "dump", "vectors", "--family", "Y",
+                       "--format", fmt)
+    assert rc == 0 and not err
+    assert sys.get_int_max_str_digits() == limit
+    digits = re.findall(r"\d{4000,}", out)
+    assert len(digits) == 1
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits[0]) == huge
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_dump_depth_validation(capsys):

@@ -2,9 +2,8 @@ import pytest
 
 from qhuff.matrices import (InsufficientRows, MatrixTable, ZeroPatternViolation,
                             _check_zero_pattern, _required_zeros, build_matrix,
-                            iter_rows, iter_scaled_rows, scaled_floor,
-                            source_quotient, source_series, submatrix,
-                            target_quotient, target_series,
+                            scaled_floor, source_quotient, source_series,
+                            submatrix, target_quotient, target_series,
                             verify_cubic_relation, verify_huff_expansion,
                             verify_rearranged_identity, view_width)
 from qhuff.padic import valuation
@@ -20,6 +19,22 @@ FROZEN_ROWS = {
     8: (0, 0, 8, 1026, 34992, 551124, 4251528, 14348907),
     9: (0, 0, 1, 324, 19683, 492075, 6377292, 43046721, 129140163),
 }
+
+
+def reference_rows(limit):
+    """Rows 1..limit of the exact, unscaled recurrence.
+
+    Row i mixes column j-1 of rows i-1, i-2 and i-3 with weights 9, 3, 1.
+    The table is built from the scaled rows instead, so this is an
+    independent route to the same integers.
+    """
+    rows = [[3], [2, 27], [1, 27, 243]][:limit]
+    while len(rows) < limit:
+        r1, r2, r3 = rows[-1], rows[-2], rows[-3]
+        pad2 = r2 + [0] * (len(r1) - len(r2))
+        pad3 = r3 + [0] * (len(r1) - len(r3))
+        rows.append([0] + [9 * x + 3 * y + z for x, y, z in zip(r1, pad2, pad3)])
+    return rows
 
 
 def test_frozen_rows():
@@ -65,17 +80,11 @@ def test_zero_pattern_enforced():
     _check_zero_pattern(8, list(FROZEN_ROWS[8]))
 
 
-def test_iter_rows_windows_match_table():
-    table = build_matrix(30)
-    for i, row in iter_rows(30):
-        assert tuple(row) == table.row(i)
-
-
-def test_scaled_rows_rebuild_exactly():
-    raw = dict(iter_rows(200))
-    for i, row in iter_scaled_rows(200):
-        rebuilt = [u * 3 ** scaled_floor(i, j) for j, u in enumerate(row, start=1)]
-        assert rebuilt == raw[i]
+def test_table_matches_exact_recurrence():
+    table = MatrixTable(200)
+    assert table.depth == 200
+    for i, row in enumerate(reference_rows(200), start=1):
+        assert table.row(i) == tuple(row)
 
 
 def test_scaled_floor_values():

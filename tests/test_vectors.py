@@ -4,7 +4,7 @@ from qhuff.eta import FAMILIES, expand_spec
 from qhuff.huffing import extract_progression
 from qhuff.matrices import InsufficientRows, MatrixTable
 from qhuff.padic import valuation
-from qhuff.vectors import (CoeffVector, _step_streaming, advance, chain,
+from qhuff.vectors import (CoeffVector, _step_streaming, chain,
                            check_valuations, expected_progression,
                            initial_vector, reconstruct, required_depth, step,
                            step_kind, valuation_floor)
@@ -83,12 +83,6 @@ def test_streaming_valuation_guard():
     # a real chain never gets here; entry valuations grow with depth
     with pytest.raises(ValueError):
         _step_streaming(CoeffVector("X", 2, (1, 1, 1, 1, 1)))
-
-
-def test_advance_prefers_given_table():
-    v = CoeffVector("X", 2, (3, 81, 729))
-    table = MatrixTable(9)
-    assert advance(v, table) == advance(v) == step(v, table)
 
 
 def test_expected_progressions():

@@ -94,10 +94,16 @@ def test_claim_report_serialization():
 
 
 def test_series_cache_reuses_widest():
+    from qhuff.eta import parse
+
     cache = SeriesCache()
     wide = cache.family("p", 80)
     assert cache.family("p", 40) is wide
     assert cache.family("p", 120) is not wide
+    spec = parse("f1^2/f3")
+    wide = cache.spec(spec, 80)
+    assert cache.spec(parse("f1^2/f3"), 40) is wide
+    assert cache.spec(spec, 120) is not wide
 
 
 def test_congruent_up_to(cache):
