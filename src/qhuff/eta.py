@@ -15,7 +15,8 @@ from .series import Series
 # Bound on exponent and scale literals; constants stay arbitrary precision.
 MAX_EXPONENT = 2 ** 31 - 1
 
-_eta_cache: dict[tuple[int, int], Series] = {}
+# One f_k per scale k, at the widest order asked so far.
+_eta_cache: dict[int, Series] = {}
 
 
 class QuotientSyntaxError(SyntaxError):
@@ -51,21 +52,23 @@ def _pentagonal_coeffs(order):
 
 
 def expand_eta(k, order):
-    """Series of f_k valid through exponent ``order``.
+    """Series of f_k valid through exponent ``k*(order//k) + k - 1``.
 
-    Results are memoised per (k, order); entries are immutable and the
-    table is write once, so sharing them is safe.
+    Memoised per k at the widest order asked so far; a narrower request
+    gets that series truncated to its own bound, which equals a fresh
+    expansion.  Entries are immutable, so sharing them is safe.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"scale {k!r} must be a positive integer")
     if order < 0:
         raise ValueError(f"order {order} must be nonnegative")
-    key = (k, order)
-    got = _eta_cache.get(key)
-    if got is None:
-        got = Series(0, _pentagonal_coeffs(order // k), order // k).dilate(k)
-        _eta_cache[key] = got
-    return got
+    m = order // k
+    bound = k * m + k - 1
+    got = _eta_cache.get(k)
+    if got is None or got.valid_to < bound:
+        got = Series(0, _pentagonal_coeffs(m), m).dilate(k)
+        _eta_cache[k] = got
+    return got.truncate(bound)
 
 
 @dataclass

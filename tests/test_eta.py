@@ -1,5 +1,6 @@
 import pytest
 
+from qhuff import eta
 from qhuff.eta import (FAMILIES, MAX_EXPONENT, EtaQuotientSpec,
                        NonIntegerConstant, QuotientSyntaxError, expand_eta,
                        expand_spec, parse)
@@ -63,8 +64,25 @@ def test_expand_eta_validates():
         expand_eta(2, -1)
 
 
-def test_memo_returns_same_object():
+def test_memo_returns_same_object(monkeypatch):
+    monkeypatch.setattr(eta, "_eta_cache", {})
     assert expand_eta(5, 90) is expand_eta(5, 90)
+
+
+def test_memo_keeps_one_entry_per_scale(monkeypatch):
+    monkeypatch.setattr(eta, "_eta_cache", {})
+    asks = [(1, 40), (3, 100), (1, 200), (1, 7), (3, 40), (3, 101), (3, 102),
+            (1, 200), (3, 300), (3, 0)]
+    for k, order in asks:
+        got = expand_eta(k, order)
+        m = order // k
+        fresh = Series(0, eta._pentagonal_coeffs(m), m).dilate(k)
+        assert got == fresh
+        assert got.valid_to == k * m + k - 1
+    assert sorted(eta._eta_cache) == [1, 3]
+    assert eta._eta_cache[1].valid_to == 200
+    assert eta._eta_cache[3].valid_to == 302
+    assert expand_eta(3, 300) is eta._eta_cache[3]
 
 
 # -- spec normal form -----------------------------------------------------

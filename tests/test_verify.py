@@ -1,6 +1,14 @@
+import concurrent.futures
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from qhuff.series import INF, BeyondValidity
+from qhuff import cli, verify
+from qhuff.eta import FAMILIES, expand_spec
+from qhuff.padic import valuation
+from qhuff.series import INF, BeyondValidity, Series
 from qhuff.verify import (BudgetExceeded, ClaimReport, CongruenceClaim,
                           NonIntegralOffset, SeriesCache, SuiteReport,
                           a3_ladder_claims, a9_ladder_claims, congruent_up_to,
@@ -104,6 +112,160 @@ def test_series_cache_reuses_widest():
     wide = cache.spec(spec, 80)
     assert cache.spec(parse("f1^2/f3"), 40) is wide
     assert cache.spec(spec, 120) is not wide
+
+
+class SpyPool(ProcessPoolExecutor):
+    """ProcessPoolExecutor that records the worker count of every pool made."""
+
+    made = []
+
+    def __init__(self, max_workers=None, *args, **kwargs):
+        SpyPool.made.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs and a recording pool, whatever the host has."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    SpyPool.made.clear()
+    return SpyPool.made
+
+
+def _raise_in_worker(name, order):
+    raise ZeroDivisionError(f"{name} to {order}")
+
+
+def _die_in_worker(name, order):
+    os._exit(1)
+
+
+def test_fill_matches_sequential(two_cpus):
+    cache = SeriesCache()
+    cache.fill({"a3": 3000, "a9": 3000})
+    assert two_cpus == [2]
+    for name in ("a3", "a9"):
+        got = cache.family(name, 3000)
+        want = expand_spec(FAMILIES[name].spec, 3000)
+        assert (got.lead, got.coeffs, got.valid_to) == \
+            (want.lead, want.coeffs, want.valid_to)
+    cache.fill({"a3": 2000, "a9": 3000})
+    assert two_cpus == [2]
+
+
+def test_fill_suite_matches_sequential(two_cpus, monkeypatch):
+    def timeless(report):
+        d = report.to_dict()
+        del d["expand_ms"]
+        for c in d["claims"]:
+            del c["elapsed_ms"]
+        return d
+
+    pooled = theorem_suite(3200, cache=SeriesCache())
+    assert two_cpus == [2]
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    alone = theorem_suite(3200, cache=SeriesCache())
+    assert two_cpus == [2]
+    assert pooled.passed and isinstance(pooled.expand_ms, int)
+    assert timeless(pooled) == timeless(alone)
+
+
+def test_fill_one_cpu_runs_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    cache = SeriesCache()
+    cache.fill({"a3": 3000, "a9": 3000})
+    assert cache.family("a9", 3000).valid_to == 3000
+
+
+def test_fill_small_orders_run_in_process(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    SeriesCache().fill({"a3": verify.POOL_MIN_ORDER - 1,
+                        "a9": verify.POOL_MIN_ORDER})
+
+
+def test_fill_reach_checked_before_expansion(two_cpus):
+    class NoFill(SeriesCache):
+        def fill(self, orders):
+            raise AssertionError("expansion started before the reach checks")
+
+    with pytest.raises(BeyondValidity):
+        theorem_suite(100, cache=NoFill())
+    assert two_cpus == []
+
+
+def test_fill_honours_n_max():
+    seen = []
+
+    class Recording(SeriesCache):
+        def fill(self, orders):
+            seen.append(dict(orders))
+            super().fill(orders)
+
+    theorem_suite(3000, n_max=5, cache=Recording())
+    # a3[729n+668] reaches n = 3 within the budget, a9[81n+80] is capped at 5.
+    assert seen == [{"a3": 729 * 3 + 668, "a9": 81 * 5 + 80}]
+
+
+def test_fill_worker_error_reraises(two_cpus, monkeypatch):
+    monkeypatch.setattr(verify, "_expand_family", _raise_in_worker)
+    with pytest.raises(ZeroDivisionError):
+        SeriesCache().fill({"a3": 3000, "a9": 3000})
+
+
+def test_fill_dead_worker_exits_3(two_cpus, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_expand_family", _die_in_worker)
+    with pytest.raises(BrokenProcessPool):
+        SeriesCache().fill({"a3": 3000, "a9": 3000})
+    assert cli.main(["verify", "theorems", "-N", "3200"]) == 3
+    assert "BrokenProcessPool" in capsys.readouterr().err
+
+
+class FixedSeries:
+    """Cache stand-in that hands every claim the same series."""
+
+    def __init__(self, coeffs):
+        self.series = Series(0, coeffs, len(coeffs) - 1)
+
+    def family(self, name, valid_to):
+        return self.series
+
+
+@pytest.mark.parametrize("base", [3, 5, 7])
+def test_valuation_skip_matches_full_scan(base, monkeypatch):
+    calls = []
+
+    def counted(n, p):
+        calls.append(n)
+        return valuation(n, p)
+
+    monkeypatch.setattr(verify, "valuation", counted)
+    coeffs = [0, 0, base ** 40, 3 ** 7, 0, -(base ** 90) * 2, 1, base ** 3,
+              0, 5 ** 6 * 7 ** 6, -1, base ** 2 * 3 ** 9, 0, base, 3 ** 60 * 5]
+    cache = FixedSeries(coeffs)
+    for stride, offset, exponent in ((1, 0, 1), (2, 0, 2), (3, 2, 1), (4, 0, 3)):
+        claim = CongruenceClaim("p", stride, offset, exponent, base)
+        n_max = (len(coeffs) - 1 - offset) // stride
+        calls.clear()
+        got = verify_claim(claim, n_max, len(coeffs) - 1, cache)
+        picked = coeffs[offset::stride][:n_max + 1]
+        assert got.failures == [n for n, c in enumerate(picked)
+                                if c % claim.modulus]
+        vals = [valuation(c, base) for c in picked]
+        assert got.min_valuation == min(vals)
+        # Only coefficients that lower the running minimum are valued.
+        lowering = [v for i, v in enumerate(vals) if v < min(vals[:i], default=INF)]
+        assert len(calls) == len(lowering) < len(picked)
+    zeros = FixedSeries([0, 0, 0, 1])
+    got = verify_claim(CongruenceClaim("p", 1, 0, 1, base), 2, 3, zeros)
+    assert got.min_valuation == INF and got.failures == []
 
 
 def test_congruent_up_to(cache):
