@@ -31,7 +31,6 @@ class RunConfig:
     n_max: int | None = None
     format: str = "text"
     out: str | None = None
-    oracle_cap: int = 60
     seed: int = 0
     rows: int = 40
     identity_order: int = 500
@@ -45,10 +44,11 @@ class RunConfig:
     oracle_n_max: int = 40
 
     def validate(self):
-        if self.order < 1:
-            raise ValueError(f"order {self.order} must be positive")
-        if self.alpha_t1 < 0 or self.alpha_t2 < 0:
-            raise ValueError("alpha budgets must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            least = 1 if f.name in ("order", "rows") else 0
+            if f.name != "seed" and isinstance(value, int) and value < least:
+                raise ValueError(f"{f.name} {value} must be at least {least}")
         if self.format not in ("text", "json", "csv"):
             raise ValueError(f"format {self.format!r} must be text, json, or csv")
 
@@ -87,6 +87,8 @@ def make_config(args):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
+    if "order" not in values and getattr(args, "command", None) == "expand":
+        values["order"] = 30
     config = RunConfig(**values)
     config.validate()
     return config
@@ -122,7 +124,7 @@ def _any_int_length():
 
 def cmd_expand(args, config):
     spec = parse(args.expression)
-    order = config.order if args.order is not None else min(config.order, 30)
+    order = config.order
     series = expand_spec(spec, order)
     lo = min(series.lead, 0) if not series.is_zero else 0
     pairs = [(n, series.coefficient(n)) for n in range(lo, order + 1)]
@@ -180,8 +182,7 @@ def run_suites(names, config):
     for name in names:
         if name == "identities":
             reports.append(ring_law_suite(seed=config.seed))
-            reports.append(oracle_suite(min(config.oracle_n_max, config.oracle_cap),
-                                        cache))
+            reports.append(oracle_suite(config.oracle_n_max, cache))
             reports.append(identity_suite(
                 order=min(config.order, config.identity_order),
                 deep_order=config.deep_order, rama_order=config.rama_order,
@@ -291,8 +292,6 @@ def create_parser():
                         help="cap on checked progression indices")
     common.add_argument("--format", choices=("text", "json", "csv"))
     common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--oracle-cap", type=int, dest="oracle_cap",
-                        help="largest weight the enumeration oracle accepts")
     common.add_argument("--seed", type=int,
                         help="seed for randomized ring checks")
 

@@ -142,6 +142,20 @@ def build_matrix(depth):
 # have width 3i-2, kinds B and C width 3i.
 _VIEW_SOURCE_ROW = {"A": lambda i: 4 * i - 3, "B": lambda i: 4 * i - 1, "C": lambda i: 4 * i}
 _VIEW_COL_START = {"A": lambda i: i, "B": lambda i: i, "C": lambda i: i + 1}
+# Clamp constant: view column j of view row t carries the forced power
+# 3^max(3j - t - kappa, 0) in the scaled row representation, so
+# 3j - t - kappa is also the kind's valuation floor.
+_VIEW_KAPPA = {"A": 1, "B": 3, "C": 1}
+
+
+def _view_rows_through(kind, depth):
+    """Number of view rows whose source row is at most ``depth``.
+
+    Source rows step by 4, so this inverts ``_VIEW_SOURCE_ROW``: table row
+    i is view row ``t = _view_rows_through(kind, i)`` exactly when
+    ``_VIEW_SOURCE_ROW[kind](t) == i``.
+    """
+    return (depth - _VIEW_SOURCE_ROW[kind](0)) // 4
 
 
 def view_width(kind, i):
@@ -162,12 +176,7 @@ class SubmatrixView:
 
     def max_rows(self):
         """Largest i whose source row is inside the table."""
-        depth = self.table.depth
-        if self.kind == "A":
-            return (depth + 3) // 4
-        if self.kind == "B":
-            return (depth + 1) // 4
-        return depth // 4
+        return _view_rows_through(self.kind, self.table.depth)
 
     def row(self, i):
         src = _VIEW_SOURCE_ROW[self.kind](i)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .eta import expand_spec, parse
 from .matrices import (InsufficientRows, MatrixTable, _VIEW_COL_START,
-                       _VIEW_SOURCE_ROW, iter_scaled_rows, submatrix,
-                       view_width)
+                       _VIEW_KAPPA, _VIEW_SOURCE_ROW, _view_rows_through,
+                       iter_scaled_rows, submatrix, view_width)
 from .padic import valuation
 from .series import Series
 
@@ -96,11 +96,6 @@ def step(v, table):
     return CoeffVector(v.family, v.alpha + 1, out)
 
 
-# Clamp constant: view column j of source row t carries the forced power
-# 3^max(3j - t - kappa, 0) in the scaled row representation.
-_VIEW_KAPPA = {"A": 1, "B": 3, "C": 1}
-
-
 def _step_streaming(v):
     """Advance one step without materialising the table.
 
@@ -116,7 +111,6 @@ def _step_streaming(v):
     s = v.support
     if s == 0:
         return CoeffVector(v.family, v.alpha + 1, ())
-    rem = {"A": 1, "B": 3, "C": 0}[kind]
     kappa = _VIEW_KAPPA[kind]
     source_row = _VIEW_SOURCE_ROW[kind]
     col_start = _VIEW_COL_START[kind]
@@ -136,11 +130,9 @@ def _step_streaming(v):
     scaled = [0] * width_out
     direct = [0] * width_out
     for i, row in iter_scaled_rows(source_row(s)):
-        if i % 4 != rem:
+        t = _view_rows_through(kind, i)
+        if source_row(t) != i:
             continue
-        t = (i + 3) // 4 if kind == "A" else (i + 1) // 4 if kind == "B" else i // 4
-        if t > s:
-            break
         coeff = v.entries[t - 1]
         if not coeff:
             continue

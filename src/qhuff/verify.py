@@ -449,8 +449,8 @@ def oracle_suite(n_max=40, cache=None):
 def matrix_suite(rows=40, huff_imax=12, huff_order=60,
                  rearranged_imax=3, rearranged_order=50):
     """Table construction, valuation floors, and both expansion identities."""
-    from .matrices import (MatrixTable, submatrix, verify_huff_expansion,
-                          verify_rearranged_identity)
+    from .matrices import (_VIEW_KAPPA, MatrixTable, submatrix,
+                           verify_huff_expansion, verify_rearranged_identity)
 
     report = SuiteReport("matrix")
     table = MatrixTable(max(rows, 4 * rearranged_imax, huff_imax))
@@ -462,14 +462,12 @@ def matrix_suite(rows=40, huff_imax=12, huff_order=60,
         f"entry valuation floors to row {rows}", not bad,
         f"violations at {bad[:5]}" if bad else ""))
 
-    floors = {"A": lambda i, j: 3 * j - i - 1, "B": lambda i, j: 3 * j - i - 3,
-              "C": lambda i, j: 3 * j - i - 1}
-    for kind, floor in floors.items():
+    for kind, kappa in _VIEW_KAPPA.items():
         view = submatrix(table, kind)
         top = min(view.max_rows(), (rows + 3) // 4)
         bad = [(i, j) for i in range(1, top + 1)
                for j in range(1, view.width(i) + 1)
-               if valuation(view.entry(i, j), 3) < floor(i, j)]
+               if valuation(view.entry(i, j), 3) < 3 * j - i - kappa]
         report.items.append(ItemReport(
             f"kind {kind} valuation floors to row {top}", not bad,
             f"violations at {bad[:5]}" if bad else ""))

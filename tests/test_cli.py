@@ -192,6 +192,13 @@ def test_config_file_precedence(capsys, tmp_path):
     assert rc == 0
     assert out.splitlines()[0] == "f1 expanded to order 10"
 
+    # an order from the file is not capped at expand's default of 30
+    conf.write_text("order = 40\n")
+    rc, out, _ = run(capsys, "expand", "f1", "--config", str(conf))
+    assert rc == 0
+    assert out.splitlines()[0] == "f1 expanded to order 40"
+    assert out.splitlines()[-1] == "  q^40: -1"
+
 
 def test_config_file_errors(capsys, tmp_path):
     conf = tmp_path / "bad.conf"
@@ -214,6 +221,24 @@ def test_config_file_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "expand", "f1", "--config",
                      str(tmp_path / "missing.conf"))
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "matrix", "--rows", "-5"], "rows"),
+    (["verify", "matrix", "--rows", "0"], "rows"),
+    (["verify", "theorems", "--n-max", "-1"], "n_max"),
+    (["verify", "theorems", "--alpha-t1", "-1"], "alpha_t1"),
+    (["expand", "f1", "--config", "deep_order = -1"], "deep_order"),
+    (["expand", "f1", "--config", "oracle_n_max = -3"], "oracle_n_max"),
+])
+def test_negative_sizes_exit_2(capsys, tmp_path, argv, key):
+    if "--config" in argv:
+        conf = tmp_path / "run.conf"
+        conf.write_text(argv[-1] + "\n")
+        argv = argv[:-1] + [str(conf)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and not out
+    assert err.startswith(f"error: {key} ")
 
 
 def test_make_config_flag_beats_file(tmp_path):

@@ -1,6 +1,5 @@
 import pytest
 
-from qhuff import eta
 from qhuff.eta import (FAMILIES, MAX_EXPONENT, EtaQuotientSpec,
                        NonIntegerConstant, QuotientSyntaxError, expand_eta,
                        expand_spec, parse)
@@ -46,10 +45,12 @@ def test_f1_head():
 
 
 def test_expand_matches_naive_product():
-    for k in (1, 2, 3):
-        fast = expand_eta(k, 180)
-        slow = naive_eta(k, 180)
-        assert fast.equal_up_to(slow, 180)
+    # orders that are not multiples of k still end at k*(order//k) + k - 1
+    for k, order in ((1, 180), (2, 180), (3, 180), (3, 100), (3, 101), (1, 7),
+                     (3, 0)):
+        fast = expand_eta(k, order)
+        assert fast.valid_to == k * (order // k) + k - 1
+        assert fast.equal_up_to(naive_eta(k, fast.valid_to), fast.valid_to)
 
 
 def test_expand_is_dilation_of_base():
@@ -62,27 +63,6 @@ def test_expand_eta_validates():
         expand_eta(0, 10)
     with pytest.raises(ValueError):
         expand_eta(2, -1)
-
-
-def test_memo_returns_same_object(monkeypatch):
-    monkeypatch.setattr(eta, "_eta_cache", {})
-    assert expand_eta(5, 90) is expand_eta(5, 90)
-
-
-def test_memo_keeps_one_entry_per_scale(monkeypatch):
-    monkeypatch.setattr(eta, "_eta_cache", {})
-    asks = [(1, 40), (3, 100), (1, 200), (1, 7), (3, 40), (3, 101), (3, 102),
-            (1, 200), (3, 300), (3, 0)]
-    for k, order in asks:
-        got = expand_eta(k, order)
-        m = order // k
-        fresh = Series(0, eta._pentagonal_coeffs(m), m).dilate(k)
-        assert got == fresh
-        assert got.valid_to == k * m + k - 1
-    assert sorted(eta._eta_cache) == [1, 3]
-    assert eta._eta_cache[1].valid_to == 200
-    assert eta._eta_cache[3].valid_to == 302
-    assert expand_eta(3, 300) is eta._eta_cache[3]
 
 
 # -- spec normal form -----------------------------------------------------
