@@ -4,7 +4,10 @@ The oracle side counts partition tuples by direct recursion over allowed
 parts and never touches the series code, so a disagreement between the
 two routes is meaningful.  Claim checks expand the family's generating
 function once to the largest index needed, then test divisibility of the
-actual coefficients along the progression.
+coefficients along the progression.  :func:`verify_claim` reads the
+exact coefficients.  The theorem suite reads their residues mod
+3**RESIDUE_EXPONENT, which decide every claim mod 3^k for k up to that
+exponent and give every valuation below it exactly.
 """
 
 from __future__ import annotations
@@ -19,24 +22,48 @@ from .padic import valuation
 from .series import BeyondValidity, INF, Series
 
 __all__ = [
-    "BudgetExceeded", "NonIntegralOffset", "CongruenceClaim", "ClaimReport",
-    "ItemReport", "SuiteReport", "SeriesCache", "valuation", "oracle_count",
+    "RESIDUE_EXPONENT", "AtLeast", "BudgetExceeded", "NonIntegralOffset",
+    "CongruenceClaim", "ClaimReport", "ItemReport", "SuiteReport",
+    "SeriesCache", "valuation", "oracle_count",
     "verify_claim", "theorem_suite", "identity_suite", "oracle_suite",
     "matrix_suite", "vector_suite", "ring_law_suite",
 ]
 
 ORACLE_CAP = 60
 
+# The theorem suite scans residues mod 3**RESIDUE_EXPONENT.  Packed
+# division keeps each residue in a 64-bit slot with room for one window
+# per divisor term: 3**32 < 2**51 leaves 13 bits, room for 9953 packed
+# terms, which f1 passes only beyond order 3.7e7.  The shipped ladders
+# need exponents up to 4.
+RESIDUE_EXPONENT = 32
+_RESIDUES = "residues"
+
 # Smallest order at which expanding families in worker processes pays.
-# On a 2-CPU Linux host (fork start), filling a3 and a9 pooled against in
-# one process took 24 against 11 ms at order 1000, 40 against 44 ms at
-# 2000 and 57 against 64 ms at 3000 (medians of 7), since starting the
-# pool costs 20-40 ms.  The floor sits where the gain is clear of noise.
-POOL_MIN_ORDER = 3000
+# A pooled fill needs two idle CPUs at once and starts its workers anew
+# (20-40 ms), so its time moves with the host's load far more than one
+# in-process expansion does.  On a 2-CPU Linux host (fork start), filling
+# the residues of a3 and a9 pooled against in one process took 356
+# against 464 ms at order 30000 (medians of 7), 469 against 686 at
+# 40000, 627 against 1023 at 50000, 869 against 1496 at 60000 and 1728
+# against 3116 at 100000.  At 30000, five 40 s benchmark runs of the
+# theorem suite gave pass medians of 0.41-0.62 s pooled against
+# 0.69-0.73 s in process, a spread as large as the gain.  The floor sits
+# where the gain, about 40%, is clear of that spread.
+POOL_MIN_ORDER = 50000
 
 
 class BudgetExceeded(ValueError):
     """An enumeration was asked to go past its configured cap."""
+
+
+class AtLeast(int):
+    """A valuation known only from below, printed as ``>=k``."""
+
+    def __repr__(self):
+        return f">={int(self)}"
+
+    __str__ = __repr__
 
 
 class NonIntegralOffset(ArithmeticError):
@@ -153,20 +180,23 @@ class ClaimReport:
 
     def to_dict(self):
         c = self.claim
+        nu = self.min_valuation  # int, INF or AtLeast; the last two as text
         return {
             "claim": {"family": c.family, "stride": c.stride,
                       "offset": c.offset, "modulus": str(c.modulus)},
             "range": {"n_max": self.n_max},
             "result": "pass" if self.passed else "fail",
             "failures": list(self.failures),
-            "min_valuation": "inf" if self.min_valuation == INF else self.min_valuation,
+            "min_valuation": nu if type(nu) is int else str(nu),
             "elapsed_ms": self.elapsed_ms,
         }
 
 
-def _expand_family(name, order):
-    """Worker entry point: the family's expansion valid through ``order``."""
-    return expand_spec(FAMILIES[name].spec, order)
+def _expand_residues(name, order):
+    """Worker entry point: the family's residues mod 3**RESIDUE_EXPONENT."""
+    from .residues import expand_spec_residues
+
+    return expand_spec_residues(FAMILIES[name].spec, order, 3 ** RESIDUE_EXPONENT)
 
 
 def _usable_cpus():
@@ -176,14 +206,19 @@ def _usable_cpus():
 
 
 class SeriesCache:
-    """Per-run store of family expansions, reused at the widest order seen."""
+    """Per-run store of family expansions, reused at the widest order seen.
+
+    Exact series are stored under the family name or the rendered spec;
+    residue series under ``(_RESIDUES, name)``, a key no exact lookup forms.
+    """
 
     def __init__(self):
         self._store = {}
 
     def fill(self, orders):
-        """Store every family of ``orders`` (name -> order) at least that wide.
+        """Store residues mod 3**RESIDUE_EXPONENT of the families of ``orders``.
 
+        ``orders`` maps family names to the order each must reach.
         Families missing or too narrow are expanded side by side, one
         worker process each up to the number of usable CPUs, when at least
         two are pending and each needs ``POOL_MIN_ORDER`` coefficients;
@@ -193,32 +228,36 @@ class SeriesCache:
         """
         pending = {}
         for name, order in orders.items():
-            cur = self._store.get(name)
+            cur = self._store.get((_RESIDUES, name))
             if cur is None or cur.valid_to < order:
                 pending[name] = order
         workers = min(len(pending), _usable_cpus())
         if workers < 2 or min(pending.values()) < POOL_MIN_ORDER:
             for name, order in pending.items():
-                self._store[name] = _expand_family(name, order)
+                self._store[_RESIDUES, name] = _expand_residues(name, order)
             return
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers) as pool:
-            futures = {name: pool.submit(_expand_family, name, order)
+            futures = {name: pool.submit(_expand_residues, name, order)
                        for name, order in pending.items()}
             for name, future in futures.items():
-                self._store[name] = future.result()
+                self._store[_RESIDUES, name] = future.result()
 
     def family(self, name, valid_to):
-        return self._lookup(name, FAMILIES[name].spec, valid_to)
+        return self._lookup(name, valid_to, expand_spec, FAMILIES[name].spec)
 
     def spec(self, spec, valid_to):
-        return self._lookup(spec.render(), spec, valid_to)
+        return self._lookup(spec.render(), valid_to, expand_spec, spec)
 
-    def _lookup(self, key, spec, valid_to):
+    def residues(self, name, valid_to):
+        """The family's coefficients reduced into [0, 3**RESIDUE_EXPONENT)."""
+        return self._lookup((_RESIDUES, name), valid_to, _expand_residues, name)
+
+    def _lookup(self, key, valid_to, expand, what):
         cur = self._store.get(key)
         if cur is None or cur.valid_to < valid_to:
-            cur = expand_spec(spec, valid_to)
+            cur = expand(what, valid_to)
             self._store[key] = cur
         return cur
 
@@ -232,7 +271,11 @@ def verify_claim(claim, n_max, budget, cache=None):
         raise BeyondValidity(
             f"claim {claim.claim_id} needs coefficients to {top}, budget is {budget}")
     cache = cache or SeriesCache()
-    series = cache.family(claim.family, top)
+    return _scan(claim, n_max, cache.family(claim.family, top))
+
+
+def _scan(claim, n_max, series):
+    """The claim's report from the coefficients of ``series``."""
     started = time.perf_counter()
     base, modulus = claim.modulus_base, claim.modulus
     failures = []
@@ -271,6 +314,7 @@ class SuiteReport:
     items: list = field(default_factory=list)
     claims: list = field(default_factory=list)
     expand_ms: int | None = None
+    scan_ms: int | None = None
 
     @property
     def passed(self):
@@ -285,6 +329,8 @@ class SuiteReport:
         }
         if self.expand_ms is not None:
             out["expand_ms"] = self.expand_ms
+        if self.scan_ms is not None:
+            out["scan_ms"] = self.scan_ms
         return out
 
 
@@ -314,18 +360,29 @@ def a9_ladder_claims(alpha_max):
 def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     """All ladder claims, each checked to its derived range within budget.
 
-    Every claim's range is derived, and checked against the budget, before
-    anything is expanded.  Each family is then expanded once, to the
-    widest ``stride*n_max + offset`` among its claims, through
-    :meth:`SeriesCache.fill` (a3 and a9 side by side in worker processes
-    when two CPUs are usable), and the scans run on the cached series.
-    ``expand_ms`` on the report is the time that fill took.
+    Every claim's exponent is checked against RESIDUE_EXPONENT, and its
+    range derived and checked against the budget, before anything is
+    expanded.  Each family's residues mod 3**RESIDUE_EXPONENT are then
+    expanded once, to the widest ``stride*n_max + offset`` among its
+    claims, through :meth:`SeriesCache.fill` (a3 and a9 side by side in
+    worker processes when two CPUs are usable and each needs
+    ``POOL_MIN_ORDER`` coefficients), and the scans run on them.
+    Failures are those of the exact coefficients, and so is
+    ``min_valuation`` below RESIDUE_EXPONENT; a claim whose residues are
+    all zero reports ``AtLeast(RESIDUE_EXPONENT)``.  ``expand_ms`` on the
+    report is the time the fill took, ``scan_ms`` that of the scans.
     """
     cache = cache or SeriesCache()
     report = SuiteReport("theorems")
     ranges = []
     widest = {}
-    for claim in a3_ladder_claims(alpha_t1) + a9_ladder_claims(alpha_t2):
+    claims = a3_ladder_claims(alpha_t1) + a9_ladder_claims(alpha_t2)
+    deepest = max(claims, key=lambda c: c.modulus_exponent)
+    if deepest.modulus_exponent > RESIDUE_EXPONENT:
+        raise ValueError(
+            f"claim {deepest.claim_id} needs 3^{deepest.modulus_exponent}, past "
+            f"the residues mod 3^{RESIDUE_EXPONENT} the scans read")
+    for claim in claims:
         derived = (budget - claim.offset) // claim.stride
         if n_max is not None:
             derived = min(derived, n_max)
@@ -333,14 +390,20 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
             raise BeyondValidity(
                 f"budget {budget} cannot reach offset {claim.offset} "
                 f"of claim {claim.claim_id}")
-        ranges.append((claim, derived))
         top = claim.stride * derived + claim.offset
+        ranges.append((claim, derived, top))
         widest[claim.family] = max(widest.get(claim.family, 0), top)
     started = time.perf_counter()
     cache.fill(widest)
-    report.expand_ms = int(1000 * (time.perf_counter() - started))
-    for claim, derived in ranges:
-        report.claims.append(verify_claim(claim, derived, budget, cache))
+    filled = time.perf_counter()
+    report.expand_ms = int(1000 * (filled - started))
+    for claim, derived, top in ranges:
+        scanned = _scan(claim, derived, cache.residues(claim.family, top))
+        # A zero residue only bounds the valuation from below.
+        if scanned.min_valuation == INF:
+            scanned.min_valuation = AtLeast(RESIDUE_EXPONENT)
+        report.claims.append(scanned)
+    report.scan_ms = int(1000 * (time.perf_counter() - filled))
     return report
 
 

@@ -2,7 +2,9 @@
 
 Each test prints one PASS line and pins a wall-clock budget.  The deep
 chain and theorem checks share the session series cache, so the two large
-expansions are computed once for the whole run.
+expansions are computed once for the whole run.  Criteria 5 and 6 scan
+the exact coefficients and are the reference for criterion 11, which runs
+the theorem suite on its residue route.
 """
 
 import time
@@ -15,7 +17,8 @@ from qhuff.matrices import (build_matrix, source_series, submatrix,
 from qhuff.padic import valuation
 from qhuff.series import Series
 from qhuff.verify import (CongruenceClaim, a3_ladder_claims, a9_ladder_claims,
-                          oracle_suite, vector_suite, verify_claim)
+                          oracle_suite, theorem_suite, vector_suite,
+                          verify_claim)
 
 BUDGET = 200000
 
@@ -28,6 +31,12 @@ def _ladder_holds(claims, budget, cache):
         assert report.passed, f"{claim.claim_id} fails at n={report.failures[:5]}"
         assert report.min_valuation >= claim.modulus_exponent
     return True
+
+
+def _timeless(claim_report):
+    d = claim_report.to_dict()
+    del d["elapsed_ms"]
+    return d
 
 
 def test_criterion_01_matrix_build():
@@ -157,3 +166,16 @@ def test_criterion_10_classical_checks(cache):
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     print(f"ACCEPTANCE 10: PASS ({elapsed:.1f}s)")
+
+
+def test_criterion_11_residue_theorem_suite(cache):
+    started = time.perf_counter()
+    report = theorem_suite(BUDGET, cache=cache)
+    elapsed = time.perf_counter() - started
+    assert report.passed
+    for got in report.claims:
+        want = verify_claim(got.claim, got.n_max, BUDGET, cache)
+        assert _timeless(got) == _timeless(want), got.claim.claim_id
+    assert elapsed < 120.0
+    print(f"ACCEPTANCE 11: PASS ({elapsed:.1f}s, expand {report.expand_ms} ms, "
+          f"scan {report.scan_ms} ms)")

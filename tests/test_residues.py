@@ -1,0 +1,53 @@
+import random
+
+import pytest
+
+from qhuff.eta import expand_eta, expand_spec, parse
+from qhuff.residues import div_residues, expand_spec_residues
+from qhuff.series import _recip_core
+
+M32 = 3 ** 32
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 511, 512, 513, 1025])
+@pytest.mark.parametrize("k", [1, 2, 9, 18])
+def test_residue_kernel_matches_exact(k, length):
+    # Lengths cross every sub-block (32) and block (512) edge; f9 and f18
+    # are dilated, so their terms fall into every class unevenly.
+    den = expand_eta(k, max(length, 1)).coeffs
+    rng = random.Random(1000 * k + length)
+    num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(rng.randint(0, length + 2))]
+    for d, n in ((den, num), ([-c for c in den], num), (den, [])):
+        want = [x % M32 for x in _recip_core(n, d, length)]
+        assert div_residues(n, d, length, M32) == want
+
+
+def test_residue_kernel_slot_guard():
+    # One packed term: slots stay below (1 + 1) * modulus, at most 2^64.
+    den = [1] + [0] * 39 + [1]
+    num = list(range(1, 101))
+    for modulus in (2 ** 63, 2 ** 62 + 1):
+        want = [x % modulus for x in _recip_core(num, den, 100)]
+        assert div_residues(num, den, 100, modulus) == want
+    with pytest.raises(OverflowError, match="64-bit slot"):
+        div_residues(num, den, 100, 2 ** 63 + 1)
+    f1 = expand_eta(1, 30000).coeffs
+    with pytest.raises(OverflowError, match="64-bit slot"):
+        div_residues([1], f1, 30001, 3 ** 39)
+    with pytest.raises(ValueError, match="not -1, 0 or 1"):
+        div_residues([1], [1, 2], 5, M32)
+
+
+def test_residue_expansion_matches_exact():
+    for text in ("f3*f6/(f1*f2)", "f9*f18/(f1*f2)", "7*q^3*f5^2/(f1^3*f7)",
+                 "f2/(q^2*f1)", "f1^2*f4", "0*f1", f"{3 ** 33}*f2/f1"):
+        spec = parse(text)
+        for order in (3, 40, 1100):
+            exact = expand_spec(spec, order)
+            got = expand_spec_residues(spec, order, M32)
+            assert got.valid_to == order
+            lo = min(spec.qshift, 0)
+            assert got.coefficients(lo, order) == \
+                [c % M32 for c in exact.coefficients(lo, order)], (text, order)
+    with pytest.raises(ValueError):
+        expand_spec_residues(parse("q^5"), 4, M32)

@@ -9,8 +9,9 @@ from qhuff import cli, verify
 from qhuff.eta import FAMILIES, expand_spec
 from qhuff.padic import valuation
 from qhuff.series import INF, BeyondValidity, Series
-from qhuff.verify import (BudgetExceeded, ClaimReport, CongruenceClaim,
-                          NonIntegralOffset, SeriesCache, SuiteReport,
+from qhuff.verify import (RESIDUE_EXPONENT, AtLeast, BudgetExceeded,
+                          ClaimReport, CongruenceClaim, NonIntegralOffset,
+                          SeriesCache, SuiteReport,
                           a3_ladder_claims, a9_ladder_claims, congruent_up_to,
                           exact_div, identity_suite, matrix_suite,
                           oracle_count, oracle_suite, ring_law_suite,
@@ -146,33 +147,43 @@ def _die_in_worker(name, order):
     os._exit(1)
 
 
+POOLED = verify.POOL_MIN_ORDER
+M = 3 ** RESIDUE_EXPONENT
+
+
+def timeless(report):
+    d = report.to_dict()
+    for key in ("expand_ms", "scan_ms"):
+        d.pop(key, None)
+    for c in d["claims"]:
+        del c["elapsed_ms"]
+    return d
+
+
 def test_fill_matches_sequential(two_cpus):
     cache = SeriesCache()
-    cache.fill({"a3": 3000, "a9": 3000})
+    cache.fill({"a3": POOLED, "a9": POOLED})
     assert two_cpus == [2]
     for name in ("a3", "a9"):
-        got = cache.family(name, 3000)
-        want = expand_spec(FAMILIES[name].spec, 3000)
-        assert (got.lead, got.coeffs, got.valid_to) == \
-            (want.lead, want.coeffs, want.valid_to)
-    cache.fill({"a3": 2000, "a9": 3000})
+        exact = expand_spec(FAMILIES[name].spec, POOLED)
+        got = cache.residues(name, POOLED)
+        assert got.valid_to == POOLED
+        assert got.coefficients(0, POOLED) == \
+            [c % M for c in exact.coefficients(0, POOLED)]
+        # Exact lookups never see the residues.
+        assert cache.family(name, POOLED - 1) == exact.truncate(POOLED - 1)
+    cache.fill({"a3": POOLED - 1000, "a9": POOLED})
     assert two_cpus == [2]
 
 
 def test_fill_suite_matches_sequential(two_cpus, monkeypatch):
-    def timeless(report):
-        d = report.to_dict()
-        del d["expand_ms"]
-        for c in d["claims"]:
-            del c["elapsed_ms"]
-        return d
-
-    pooled = theorem_suite(3200, cache=SeriesCache())
+    pooled = theorem_suite(POOLED + 200, cache=SeriesCache())
     assert two_cpus == [2]
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    alone = theorem_suite(3200, cache=SeriesCache())
+    alone = theorem_suite(POOLED + 200, cache=SeriesCache())
     assert two_cpus == [2]
     assert pooled.passed and isinstance(pooled.expand_ms, int)
+    assert isinstance(pooled.scan_ms, int)
     assert timeless(pooled) == timeless(alone)
 
 
@@ -180,8 +191,8 @@ def test_fill_one_cpu_runs_in_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     cache = SeriesCache()
-    cache.fill({"a3": 3000, "a9": 3000})
-    assert cache.family("a9", 3000).valid_to == 3000
+    cache.fill({"a3": POOLED, "a9": POOLED})
+    assert cache.residues("a9", POOLED).valid_to == POOLED
 
 
 def test_fill_small_orders_run_in_process(monkeypatch):
@@ -215,17 +226,69 @@ def test_fill_honours_n_max():
 
 
 def test_fill_worker_error_reraises(two_cpus, monkeypatch):
-    monkeypatch.setattr(verify, "_expand_family", _raise_in_worker)
+    monkeypatch.setattr(verify, "_expand_residues", _raise_in_worker)
     with pytest.raises(ZeroDivisionError):
-        SeriesCache().fill({"a3": 3000, "a9": 3000})
+        SeriesCache().fill({"a3": POOLED, "a9": POOLED})
 
 
 def test_fill_dead_worker_exits_3(two_cpus, monkeypatch, capsys):
-    monkeypatch.setattr(verify, "_expand_family", _die_in_worker)
+    monkeypatch.setattr(verify, "_expand_residues", _die_in_worker)
     with pytest.raises(BrokenProcessPool):
-        SeriesCache().fill({"a3": 3000, "a9": 3000})
-    assert cli.main(["verify", "theorems", "-N", "3200"]) == 3
+        SeriesCache().fill({"a3": POOLED, "a9": POOLED})
+    assert cli.main(["verify", "theorems", "-N", str(POOLED + 200)]) == 3
     assert "BrokenProcessPool" in capsys.readouterr().err
+
+
+def test_residue_suite_matches_exact_scans(cache):
+    residue = theorem_suite(30000, cache=cache)
+    exact = [verify_claim(r.claim, r.n_max, 30000, cache) for r in residue.claims]
+    assert residue.passed
+    assert timeless(residue)["claims"] == \
+        timeless(SuiteReport("theorems", claims=exact))["claims"]
+
+
+class FixedResidues:
+    """Cache stand-in whose residue series is the same for every family."""
+
+    def __init__(self, coeffs, valid_to):
+        self.series = Series(0, coeffs, valid_to)
+
+    def fill(self, orders):
+        pass
+
+    def residues(self, name, valid_to):
+        return self.series
+
+
+def test_residue_scan_of_zeros_reads_at_least_k():
+    report = theorem_suite(3000, cache=FixedResidues([], 3000))
+    assert report.passed
+    for cr in report.claims:
+        assert isinstance(cr.min_valuation, AtLeast)
+        assert cr.min_valuation == RESIDUE_EXPONENT != INF
+        assert cr.to_dict()["min_valuation"] == f">={RESIDUE_EXPONENT}"
+    text = "\n".join(cli._suite_text(report))
+    assert f"min_nu=>={RESIDUE_EXPONENT}" in text and "inf" not in text
+    assert f"min_valuation=>={RESIDUE_EXPONENT}" in cli._suite_csv([report])
+    # One nonzero residue gives its valuation exactly; zeros do not lower it.
+    coeffs = [0] * 3001
+    coeffs[2] = 2 * 3 ** 31
+    report = theorem_suite(3000, cache=FixedResidues(coeffs, 3000))
+    assert report.claims[1].claim.claim_id == "a3[3n+2]%3"
+    assert report.claims[1].min_valuation == 31
+    assert type(report.claims[1].min_valuation) is int
+
+
+def test_residue_exponent_above_k_refused(two_cpus):
+    class NoFill(SeriesCache):
+        def fill(self, orders):
+            raise AssertionError("expansion started before the exponent checks")
+
+    with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
+        theorem_suite(10 ** 6, alpha_t1=RESIDUE_EXPONENT - 1, cache=NoFill())
+    with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
+        theorem_suite(10 ** 6, alpha_t2=RESIDUE_EXPONENT, cache=NoFill())
+    assert two_cpus == []
 
 
 class FixedSeries:
