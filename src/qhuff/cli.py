@@ -22,6 +22,11 @@ from .verify import (SeriesCache, identity_suite, matrix_suite, oracle_suite,
 USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
 
+# Deepest chain `dump vectors` computes: the vector suite's depth.  The
+# chains are exact and their tables grow as 3^alpha; Y at depth 9 needs
+# 26244 table rows, hours of work.
+MAX_VECTOR_DEPTH = 8
+
 
 @dataclass
 class RunConfig:
@@ -229,6 +234,9 @@ def cmd_dump(args, config):
         depth = 9 if args.what == "matrix" else 4
     if depth < 1:
         raise ValueError(f"--depth must be a positive integer, got {depth!r}")
+    if args.what == "vectors" and depth > MAX_VECTOR_DEPTH:
+        raise ValueError(f"--depth {depth} is past the vector chain cap "
+                         f"{MAX_VECTOR_DEPTH}")
     if args.what == "matrix":
         table = MatrixTable(depth)
         rows = [table.row(i) for i in range(1, depth + 1)]

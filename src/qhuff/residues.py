@@ -1,9 +1,11 @@
 """Coefficients of eta quotients modulo an integer, for congruence scans.
 
-Only the theorem suite reads these: a claim mod 3^k is decided by the
-coefficients mod 3^K for any K >= k, and residues below 2^51 divide far
-faster than exact integers of hundreds of bits.  The theorem suite
-imports this module on first use, so ``import qhuff`` does not load it.
+Every congruence claim reads these: a claim mod b^k is decided by the
+coefficients mod any multiple of b^k, and residues below 2^51 divide far
+faster than exact integers of hundreds of bits.  A :class:`Reduced` spec
+names such a series, so it is looked up and stored like any other spec.
+The verify layer imports this module on first use, so ``import qhuff``
+does not load it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 from .eta import EtaQuotientSpec, expand_eta, expand_spec
 from .series import Series
@@ -158,3 +161,21 @@ def expand_spec_residues(spec, order, modulus):
             for _ in range(-e):
                 run = div_residues(run, den, inner + 1, modulus)
     return Series(spec.qshift, run, order)
+
+
+@dataclass(frozen=True)
+class Reduced:
+    """An eta quotient whose coefficients are wanted modulo ``modulus``.
+
+    It renders to a text no exact spec renders to, so a cache keyed by
+    ``render()`` never hands an exact lookup its residues.
+    """
+
+    spec: EtaQuotientSpec
+    modulus: int
+
+    def render(self):
+        return f"({self.spec.render()}) mod {self.modulus}"
+
+    def expand(self, order):
+        return expand_spec_residues(self.spec, order, self.modulus)

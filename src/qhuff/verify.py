@@ -4,10 +4,13 @@ The oracle side counts partition tuples by direct recursion over allowed
 parts and never touches the series code, so a disagreement between the
 two routes is meaningful.  Claim checks expand the family's generating
 function once to the largest index needed, then test divisibility of the
-coefficients along the progression.  :func:`verify_claim` reads the
-exact coefficients.  The theorem suite reads their residues mod
-3**RESIDUE_EXPONENT, which decide every claim mod 3^k for k up to that
-exponent and give every valuation below it exactly.
+coefficients along the progression.  Claims read residues, not exact
+coefficients: :func:`verify_claim` those mod CLAIM_MODULUS, the theorem
+suite those mod 3**RESIDUE_EXPONENT.  Residues mod M decide every claim
+mod b^k with b^k dividing M, and give every b-adic valuation below K_b
+exactly, K_b being the largest k with b^k dividing M; a valuation of K_b
+or more reads ``AtLeast(K_b)``.  Claims past K_b are refused.  Identity
+checks, reconstructions and the oracle check read exact series.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .eta import FAMILIES, expand_spec, parse
+from .eta import FAMILIES, EtaQuotientSpec, expand_spec, parse
 from .huffing import extract_progression
 from .padic import valuation
 from .series import BeyondValidity, INF, Series
 
 __all__ = [
-    "RESIDUE_EXPONENT", "AtLeast", "BudgetExceeded", "NonIntegralOffset",
+    "CLAIM_MODULUS", "RESIDUE_EXPONENT", "AtLeast", "BudgetExceeded",
+    "NonIntegralOffset",
     "CongruenceClaim", "ClaimReport", "ItemReport", "SuiteReport",
     "SeriesCache", "valuation", "oracle_count",
     "verify_claim", "theorem_suite", "identity_suite", "oracle_suite",
@@ -37,7 +41,14 @@ ORACLE_CAP = 60
 # terms, which f1 passes only beyond order 3.7e7.  The shipped ladders
 # need exponents up to 4.
 RESIDUE_EXPONENT = 32
-_RESIDUES = "residues"
+
+# verify_claim scans residues mod CLAIM_MODULUS.  One modulus for every
+# base keeps one residue series per family; a modulus per base would
+# expand each family once per base asked for.  It decides claims mod 2^k
+# for k <= 10, 3^k for k <= 8, 5^k for k <= 5 and 7^k for k <= 4; the
+# identity suite's regressions reach 3-adic valuation 6.  Below 2**46, it
+# leaves packed division room for 365937 divisor terms.
+CLAIM_MODULUS = 2 ** 10 * 3 ** 8 * 5 ** 5 * 7 ** 4
 
 # Smallest order at which expanding families in worker processes pays.
 # A pooled fill needs two idle CPUs at once and starts its workers anew
@@ -192,11 +203,21 @@ class ClaimReport:
         }
 
 
-def _expand_residues(name, order):
-    """Worker entry point: the family's residues mod 3**RESIDUE_EXPONENT."""
-    from .residues import expand_spec_residues
+def _expand(spec, order):
+    """Worker entry point: ``spec`` expanded to ``order``.
 
-    return expand_spec_residues(FAMILIES[name].spec, order, 3 ** RESIDUE_EXPONENT)
+    A ``residues.Reduced`` spec is expanded modulo its modulus.
+    """
+    if isinstance(spec, EtaQuotientSpec):
+        return expand_spec(spec, order)
+    return spec.expand(order)
+
+
+def _reduced(name, modulus):
+    """The family's generating function, reduced mod ``modulus``."""
+    from .residues import Reduced
+
+    return Reduced(FAMILIES[name].spec, modulus)
 
 
 def _usable_cpus():
@@ -206,86 +227,135 @@ def _usable_cpus():
 
 
 class SeriesCache:
-    """Per-run store of family expansions, reused at the widest order seen.
+    """Per-run store of expansions, reused at the widest order seen.
 
-    Exact series are stored under the family name or the rendered spec;
-    residue series under ``(_RESIDUES, name)``, a key no exact lookup forms.
+    Family series are stored under the family name, others under the
+    rendered spec; a ``residues.Reduced`` spec renders to a key that no
+    exact spec does.  ``stats`` counts lookups: ``hits`` (the stored series
+    reached far enough), ``widenings`` (it was replaced by a wider one,
+    whose narrower coefficients add to ``discarded_coeffs``) and
+    ``misses`` (nothing was stored).
     """
 
     def __init__(self):
         self._store = {}
+        self.stats = dict.fromkeys(
+            ("hits", "widenings", "misses", "discarded_coeffs"), 0)
 
     def fill(self, orders):
         """Store residues mod 3**RESIDUE_EXPONENT of the families of ``orders``.
 
-        ``orders`` maps family names to the order each must reach.
-        Families missing or too narrow are expanded side by side, one
-        worker process each up to the number of usable CPUs, when at least
-        two are pending and each needs ``POOL_MIN_ORDER`` coefficients;
-        otherwise they are expanded here, one after another.  Both routes
-        store the same series.  An error in a worker re-raises here; a
-        worker that dies raises ``BrokenProcessPool``.
+        ``orders`` maps family names to the order each must reach; the
+        residues are then read with ``spec(Reduced(...))``.  Families
+        missing or too narrow are expanded side by side, one worker process
+        each up to the number of usable CPUs, when at least two are pending
+        and each needs ``POOL_MIN_ORDER`` coefficients; otherwise they are
+        expanded here, one after another.  Both routes store the same
+        series.  An error in a worker re-raises here; a worker that dies
+        raises ``BrokenProcessPool``.
         """
         pending = {}
         for name, order in orders.items():
-            cur = self._store.get((_RESIDUES, name))
-            if cur is None or cur.valid_to < order:
-                pending[name] = order
+            spec = _reduced(name, 3 ** RESIDUE_EXPONENT)
+            key = spec.render()
+            if self._stored(key, order) is None:
+                pending[key] = spec, order
         workers = min(len(pending), _usable_cpus())
-        if workers < 2 or min(pending.values()) < POOL_MIN_ORDER:
-            for name, order in pending.items():
-                self._store[_RESIDUES, name] = _expand_residues(name, order)
+        if workers < 2 or min(o for _, o in pending.values()) < POOL_MIN_ORDER:
+            for key, (spec, order) in pending.items():
+                self._store[key] = _expand(spec, order)
             return
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers) as pool:
-            futures = {name: pool.submit(_expand_residues, name, order)
-                       for name, order in pending.items()}
-            for name, future in futures.items():
-                self._store[_RESIDUES, name] = future.result()
+            futures = {key: pool.submit(_expand, spec, order)
+                       for key, (spec, order) in pending.items()}
+            for key, future in futures.items():
+                self._store[key] = future.result()
 
     def family(self, name, valid_to):
-        return self._lookup(name, valid_to, expand_spec, FAMILIES[name].spec)
+        return self._lookup(name, valid_to, FAMILIES[name].spec)
 
     def spec(self, spec, valid_to):
-        return self._lookup(spec.render(), valid_to, expand_spec, spec)
+        return self._lookup(spec.render(), valid_to, spec)
 
-    def residues(self, name, valid_to):
-        """The family's coefficients reduced into [0, 3**RESIDUE_EXPONENT)."""
-        return self._lookup((_RESIDUES, name), valid_to, _expand_residues, name)
-
-    def _lookup(self, key, valid_to, expand, what):
-        cur = self._store.get(key)
-        if cur is None or cur.valid_to < valid_to:
-            cur = expand(what, valid_to)
-            self._store[key] = cur
+    def _lookup(self, key, valid_to, spec):
+        cur = self._stored(key, valid_to)
+        if cur is None:
+            cur = self._store[key] = _expand(spec, valid_to)
         return cur
+
+    def _stored(self, key, valid_to):
+        """The series under ``key`` if it reaches ``valid_to``, else None.
+
+        Counts the lookup in ``stats``.
+        """
+        cur = self._store.get(key)
+        if cur is None:
+            self.stats["misses"] += 1
+        elif cur.valid_to < valid_to:
+            self.stats["widenings"] += 1
+            if not cur.is_zero:
+                self.stats["discarded_coeffs"] += int(cur.valid_to) - cur.lead + 1
+        else:
+            self.stats["hits"] += 1
+            return cur
+        return None
 
 
 def verify_claim(claim, n_max, budget, cache=None):
-    """Check a claim for 0 <= n <= n_max within the coefficient budget."""
+    """Check a claim for 0 <= n <= n_max within the coefficient budget.
+
+    The family's residues mod CLAIM_MODULUS are scanned.  A claim whose
+    modulus does not divide CLAIM_MODULUS is refused with a ValueError
+    before anything is expanded.  Failures are those of the exact
+    coefficients, and so is ``min_valuation`` below K_b, the largest k with
+    base^k dividing CLAIM_MODULUS; from K_b up it reads ``AtLeast(K_b)``.
+    """
     if n_max < 0:
         raise ValueError(f"n_max {n_max} must be nonnegative")
     top = claim.stride * n_max + claim.offset
     if top > budget:
         raise BeyondValidity(
             f"claim {claim.claim_id} needs coefficients to {top}, budget is {budget}")
+    cap = _residue_cap(claim, CLAIM_MODULUS)
     cache = cache or SeriesCache()
-    return _scan(claim, n_max, cache.family(claim.family, top))
+    series = cache.spec(_reduced(claim.family, CLAIM_MODULUS), top)
+    return _scan(claim, n_max, series, cap)
 
 
-def _scan(claim, n_max, series):
-    """The claim's report from the coefficients of ``series``."""
+def _residue_cap(claim, modulus):
+    """K, the largest k with base^k dividing ``modulus``.
+
+    Residues mod ``modulus`` decide the claim only if its exponent is at
+    most K; a claim past K is refused with a ValueError.
+    """
+    base = claim.modulus_base
+    cap = valuation(modulus, base)
+    if claim.modulus_exponent > cap:
+        raise ValueError(
+            f"claim {claim.claim_id} needs {base}^{claim.modulus_exponent}, past "
+            f"{base}^{cap}, the largest power of {base} dividing the residue "
+            f"modulus {modulus}")
+    return cap
+
+
+def _scan(claim, n_max, series, cap=None):
+    """The claim's report from the coefficients of ``series``.
+
+    Without ``cap`` they are exact.  With it they are residues modulo a
+    multiple of base**cap, so a valuation of ``cap`` or more, including that
+    of a zero residue, reads ``AtLeast(cap)``.
+    """
     started = time.perf_counter()
     base, modulus = claim.modulus_base, claim.modulus
     failures = []
-    min_val = INF
-    floor = None  # base**min_val once min_val is finite
+    # Only a nonzero c that floor does not divide can lower min_val.
+    min_val, floor = (INF, None) if cap is None else (AtLeast(cap), base ** cap)
     for n in range(n_max + 1):
         c = series.coefficient(claim.stride * n + claim.offset)
         if modulus > 1 and c % modulus:
             failures.append(n)
-        # Only a nonzero c that floor does not divide can lower min_val.
         if c and (floor is None or c % floor):
             min_val = valuation(c, base)
             floor = base ** min_val
@@ -362,26 +432,25 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
 
     Every claim's exponent is checked against RESIDUE_EXPONENT, and its
     range derived and checked against the budget, before anything is
-    expanded.  Each family's residues mod 3**RESIDUE_EXPONENT are then
+    expanded; a claim past 3**RESIDUE_EXPONENT is refused with a
+    ValueError.  Each family's residues mod 3**RESIDUE_EXPONENT are then
     expanded once, to the widest ``stride*n_max + offset`` among its
     claims, through :meth:`SeriesCache.fill` (a3 and a9 side by side in
     worker processes when two CPUs are usable and each needs
-    ``POOL_MIN_ORDER`` coefficients), and the scans run on them.
-    Failures are those of the exact coefficients, and so is
-    ``min_valuation`` below RESIDUE_EXPONENT; a claim whose residues are
-    all zero reports ``AtLeast(RESIDUE_EXPONENT)``.  ``expand_ms`` on the
-    report is the time the fill took, ``scan_ms`` that of the scans.
+    ``POOL_MIN_ORDER`` coefficients), and the scans read them through
+    :meth:`SeriesCache.spec`.  Failures are those of the exact
+    coefficients, and so is ``min_valuation`` below RESIDUE_EXPONENT; a
+    valuation of RESIDUE_EXPONENT or more, as when every residue is zero,
+    reads ``AtLeast(RESIDUE_EXPONENT)``.  ``expand_ms`` on the report is
+    the time the fill took, ``scan_ms`` that of the scans.
     """
     cache = cache or SeriesCache()
     report = SuiteReport("theorems")
     ranges = []
     widest = {}
+    modulus = 3 ** RESIDUE_EXPONENT
     claims = a3_ladder_claims(alpha_t1) + a9_ladder_claims(alpha_t2)
-    deepest = max(claims, key=lambda c: c.modulus_exponent)
-    if deepest.modulus_exponent > RESIDUE_EXPONENT:
-        raise ValueError(
-            f"claim {deepest.claim_id} needs 3^{deepest.modulus_exponent}, past "
-            f"the residues mod 3^{RESIDUE_EXPONENT} the scans read")
+    caps = [_residue_cap(claim, modulus) for claim in claims]
     for claim in claims:
         derived = (budget - claim.offset) // claim.stride
         if n_max is not None:
@@ -397,12 +466,9 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     cache.fill(widest)
     filled = time.perf_counter()
     report.expand_ms = int(1000 * (filled - started))
-    for claim, derived, top in ranges:
-        scanned = _scan(claim, derived, cache.residues(claim.family, top))
-        # A zero residue only bounds the valuation from below.
-        if scanned.min_valuation == INF:
-            scanned.min_valuation = AtLeast(RESIDUE_EXPONENT)
-        report.claims.append(scanned)
+    for (claim, derived, top), cap in zip(ranges, caps):
+        series = cache.spec(_reduced(claim.family, modulus), top)
+        report.claims.append(_scan(claim, derived, series, cap))
     report.scan_ms = int(1000 * (time.perf_counter() - filled))
     return report
 
@@ -425,6 +491,21 @@ def congruent_up_to(a, b, modulus, order):
 def _progression_series(cache, family, stride, offset, order):
     base = cache.family(family, stride * order + offset)
     return extract_progression(base, stride, offset)
+
+
+REGRESSION_CLAIMS = (
+    CongruenceClaim("a", 3, 2, 1),
+    CongruenceClaim("b", 5, 4, 1, modulus_base=5),
+    CongruenceClaim("b", 7, 2, 1, modulus_base=7),
+    CongruenceClaim("b", 7, 3, 1, modulus_base=7),
+    CongruenceClaim("b", 7, 4, 1, modulus_base=7),
+    CongruenceClaim("b", 7, 6, 1, modulus_base=7),
+    CongruenceClaim("b", 9, 7, 2),
+    CongruenceClaim("b", 27, 16, 3),
+    CongruenceClaim("b", 27, 25, 3),
+    CongruenceClaim("b", 81, 61, 3),
+    CongruenceClaim("b", 81, 61, 4),
+)
 
 
 def identity_suite(order=500, deep_alpha_max=2, deep_order=100,
@@ -472,20 +553,7 @@ def identity_suite(order=500, deep_alpha_max=2, deep_order=100,
         cache.spec(parse("49*q*f7^7/f1^8"), rama_order)
     add(ItemReport("p[7n+5] generating function", lhs.equal_up_to(rhs, rama_order)))
 
-    regressions = [
-        CongruenceClaim("a", 3, 2, 1),
-        CongruenceClaim("b", 5, 4, 1, modulus_base=5),
-        CongruenceClaim("b", 7, 2, 1, modulus_base=7),
-        CongruenceClaim("b", 7, 3, 1, modulus_base=7),
-        CongruenceClaim("b", 7, 4, 1, modulus_base=7),
-        CongruenceClaim("b", 7, 6, 1, modulus_base=7),
-        CongruenceClaim("b", 9, 7, 2),
-        CongruenceClaim("b", 27, 16, 3),
-        CongruenceClaim("b", 27, 25, 3),
-        CongruenceClaim("b", 81, 61, 3),
-        CongruenceClaim("b", 81, 61, 4),
-    ]
-    for claim in regressions:
+    for claim in REGRESSION_CLAIMS:
         n_max = cubic_n_max if claim.family == "a" else pair_n_max
         budget = claim.stride * n_max + claim.offset
         report.claims.append(verify_claim(claim, n_max, budget, cache))

@@ -3,8 +3,9 @@
 Each test prints one PASS line and pins a wall-clock budget.  The deep
 chain and theorem checks share the session series cache, so the two large
 expansions are computed once for the whole run.  Criteria 5 and 6 scan
-the exact coefficients and are the reference for criterion 11, which runs
-the theorem suite on its residue route.
+the exact coefficients (the ``exact_report`` fixture) and are the
+reference for criterion 11, which runs the theorem suite on its residue
+route.
 """
 
 import time
@@ -23,10 +24,10 @@ from qhuff.verify import (CongruenceClaim, a3_ladder_claims, a9_ladder_claims,
 BUDGET = 200000
 
 
-def _ladder_holds(claims, budget, cache):
+def _ladder_holds(claims, budget, cache, exact_report):
     for claim in claims:
         n_max = (budget - claim.offset) // claim.stride
-        report = verify_claim(claim, n_max, budget, cache)
+        report = exact_report(claim, n_max, cache)
         assert claim.stride * n_max + claim.offset <= budget
         assert report.passed, f"{claim.claim_id} fails at n={report.failures[:5]}"
         assert report.min_valuation >= claim.modulus_exponent
@@ -87,19 +88,19 @@ def test_criterion_04_cubic_relation_and_huff_constants():
     print(f"ACCEPTANCE 4: PASS ({elapsed:.1f}s)")
 
 
-def test_criterion_05_a3_congruence_ladders(cache):
+def test_criterion_05_a3_congruence_ladders(cache, exact_report):
     started = time.perf_counter()
-    assert _ladder_holds(a3_ladder_claims(2), BUDGET, cache)
+    assert _ladder_holds(a3_ladder_claims(2), BUDGET, cache, exact_report)
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     print(f"ACCEPTANCE 5: PASS ({elapsed:.1f}s)")
 
 
-def test_criterion_06_a9_congruence_ladder(cache):
+def test_criterion_06_a9_congruence_ladder(cache, exact_report):
     started = time.perf_counter()
     claims = a9_ladder_claims(3)
     assert claims[-1].modulus == 81
-    assert _ladder_holds(claims, BUDGET, cache)
+    assert _ladder_holds(claims, BUDGET, cache, exact_report)
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
     print(f"ACCEPTANCE 6: PASS ({elapsed:.1f}s)")
@@ -168,13 +169,13 @@ def test_criterion_10_classical_checks(cache):
     print(f"ACCEPTANCE 10: PASS ({elapsed:.1f}s)")
 
 
-def test_criterion_11_residue_theorem_suite(cache):
+def test_criterion_11_residue_theorem_suite(cache, exact_report):
     started = time.perf_counter()
     report = theorem_suite(BUDGET, cache=cache)
     elapsed = time.perf_counter() - started
     assert report.passed
     for got in report.claims:
-        want = verify_claim(got.claim, got.n_max, BUDGET, cache)
+        want = exact_report(got.claim, got.n_max, cache)
         assert _timeless(got) == _timeless(want), got.claim.claim_id
     assert elapsed < 120.0
     print(f"ACCEPTANCE 11: PASS ({elapsed:.1f}s, expand {report.expand_ms} ms, "

@@ -179,6 +179,17 @@ def test_dump_depth_validation(capsys):
     assert rc == 2 and "depth" in err
 
 
+def test_dump_vectors_past_depth_cap_exits_2(capsys, monkeypatch):
+    def no_chain(family, depth):
+        raise AssertionError("a chain was computed")
+
+    monkeypatch.setattr(cli, "chain", no_chain)
+    rc, out, err = run(capsys, "dump", "vectors", "--depth",
+                       str(cli.MAX_VECTOR_DEPTH + 1))
+    assert rc == 2 and not out
+    assert f"cap {cli.MAX_VECTOR_DEPTH}" in err
+
+
 def test_config_file_precedence(capsys, tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("# sizes\norder = 20\nformat = csv\n")

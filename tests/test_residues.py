@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qhuff
 from qhuff.eta import expand_eta, expand_spec, parse
 from qhuff.residues import div_residues, expand_spec_residues
 from qhuff.series import _recip_core
+from qhuff.verify import CLAIM_MODULUS
 
 M32 = 3 ** 32
 
@@ -18,8 +24,10 @@ def test_residue_kernel_matches_exact(k, length):
     rng = random.Random(1000 * k + length)
     num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(rng.randint(0, length + 2))]
     for d, n in ((den, num), ([-c for c in den], num), (den, [])):
-        want = [x % M32 for x in _recip_core(n, d, length)]
-        assert div_residues(n, d, length, M32) == want
+        exact = _recip_core(n, d, length)
+        for modulus in (M32, CLAIM_MODULUS):
+            want = [x % modulus for x in exact]
+            assert div_residues(n, d, length, modulus) == want
 
 
 def test_residue_kernel_slot_guard():
@@ -39,15 +47,26 @@ def test_residue_kernel_slot_guard():
 
 
 def test_residue_expansion_matches_exact():
-    for text in ("f3*f6/(f1*f2)", "f9*f18/(f1*f2)", "7*q^3*f5^2/(f1^3*f7)",
-                 "f2/(q^2*f1)", "f1^2*f4", "0*f1", f"{3 ** 33}*f2/f1"):
-        spec = parse(text)
-        for order in (3, 40, 1100):
-            exact = expand_spec(spec, order)
-            got = expand_spec_residues(spec, order, M32)
-            assert got.valid_to == order
-            lo = min(spec.qshift, 0)
-            assert got.coefficients(lo, order) == \
-                [c % M32 for c in exact.coefficients(lo, order)], (text, order)
+    for modulus in (M32, CLAIM_MODULUS):
+        for text in ("f3*f6/(f1*f2)", "f9*f18/(f1*f2)", "7*q^3*f5^2/(f1^3*f7)",
+                     "f2/(q^2*f1)", "f1^2*f4", "0*f1", f"{3 * modulus}*f2/f1"):
+            spec = parse(text)
+            for order in (3, 40, 1100):
+                exact = expand_spec(spec, order)
+                got = expand_spec_residues(spec, order, modulus)
+                assert got.valid_to == order
+                lo = min(spec.qshift, 0)
+                assert got.coefficients(lo, order) == \
+                    [c % modulus for c in exact.coefficients(lo, order)], \
+                    (text, order, modulus)
     with pytest.raises(ValueError):
         expand_spec_residues(parse("q^5"), 4, M32)
+
+
+def test_import_qhuff_leaves_residues_unloaded():
+    # The module is compiled on first use, not by every ``import qhuff``.
+    env = dict(os.environ, PYTHONPATH=str(Path(qhuff.__file__).parents[1]))
+    code = "import sys, qhuff; print(sorted(m for m in sys.modules if 'resid' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

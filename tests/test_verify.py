@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -8,9 +9,11 @@ import pytest
 from qhuff import cli, verify
 from qhuff.eta import FAMILIES, expand_spec
 from qhuff.padic import valuation
+from qhuff.residues import Reduced
 from qhuff.series import INF, BeyondValidity, Series
-from qhuff.verify import (RESIDUE_EXPONENT, AtLeast, BudgetExceeded,
-                          ClaimReport, CongruenceClaim, NonIntegralOffset,
+from qhuff.verify import (CLAIM_MODULUS, REGRESSION_CLAIMS, RESIDUE_EXPONENT,
+                          AtLeast, BudgetExceeded, ClaimReport,
+                          CongruenceClaim, NonIntegralOffset,
                           SeriesCache, SuiteReport,
                           a3_ladder_claims, a9_ladder_claims, congruent_up_to,
                           exact_div, identity_suite, matrix_suite,
@@ -115,6 +118,25 @@ def test_series_cache_reuses_widest():
     assert cache.spec(spec, 120) is not wide
 
 
+def test_series_cache_counts_its_lookups():
+    cache = SeriesCache()
+    for order in (20, 10, 40, 40):
+        cache.family("p", order)
+    assert cache.stats == {"hits": 2, "widenings": 1, "misses": 1,
+                           "discarded_coeffs": 21}
+    # Reduced keys count the same way, through fill and through spec.
+    cache = SeriesCache()
+    cache.fill({"a3": 30})
+    cache.fill({"a3": 20, "a9": 10})
+    a3 = Reduced(FAMILIES["a3"].spec, M)
+    assert cache.spec(a3, 25) is cache.spec(a3, 30)
+    cache.spec(a3, 50)
+    cache.spec(Reduced(FAMILIES["a3"].spec, CLAIM_MODULUS), 50)
+    cache.family("a3", 50)
+    assert cache.stats == {"hits": 3, "widenings": 1, "misses": 4,
+                           "discarded_coeffs": 31}
+
+
 class SpyPool(ProcessPoolExecutor):
     """ProcessPoolExecutor that records the worker count of every pool made."""
 
@@ -139,11 +161,11 @@ def two_cpus(monkeypatch):
     return SpyPool.made
 
 
-def _raise_in_worker(name, order):
-    raise ZeroDivisionError(f"{name} to {order}")
+def _raise_in_worker(spec, order):
+    raise ZeroDivisionError(f"{spec.render()} to {order}")
 
 
-def _die_in_worker(name, order):
+def _die_in_worker(spec, order):
     os._exit(1)
 
 
@@ -166,7 +188,7 @@ def test_fill_matches_sequential(two_cpus):
     assert two_cpus == [2]
     for name in ("a3", "a9"):
         exact = expand_spec(FAMILIES[name].spec, POOLED)
-        got = cache.residues(name, POOLED)
+        got = cache.spec(Reduced(FAMILIES[name].spec, M), POOLED)
         assert got.valid_to == POOLED
         assert got.coefficients(0, POOLED) == \
             [c % M for c in exact.coefficients(0, POOLED)]
@@ -192,7 +214,7 @@ def test_fill_one_cpu_runs_in_process(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     cache = SeriesCache()
     cache.fill({"a3": POOLED, "a9": POOLED})
-    assert cache.residues("a9", POOLED).valid_to == POOLED
+    assert cache.spec(Reduced(FAMILIES["a9"].spec, M), POOLED).valid_to == POOLED
 
 
 def test_fill_small_orders_run_in_process(monkeypatch):
@@ -226,22 +248,22 @@ def test_fill_honours_n_max():
 
 
 def test_fill_worker_error_reraises(two_cpus, monkeypatch):
-    monkeypatch.setattr(verify, "_expand_residues", _raise_in_worker)
+    monkeypatch.setattr(verify, "_expand", _raise_in_worker)
     with pytest.raises(ZeroDivisionError):
         SeriesCache().fill({"a3": POOLED, "a9": POOLED})
 
 
 def test_fill_dead_worker_exits_3(two_cpus, monkeypatch, capsys):
-    monkeypatch.setattr(verify, "_expand_residues", _die_in_worker)
+    monkeypatch.setattr(verify, "_expand", _die_in_worker)
     with pytest.raises(BrokenProcessPool):
         SeriesCache().fill({"a3": POOLED, "a9": POOLED})
     assert cli.main(["verify", "theorems", "-N", str(POOLED + 200)]) == 3
     assert "BrokenProcessPool" in capsys.readouterr().err
 
 
-def test_residue_suite_matches_exact_scans(cache):
+def test_residue_suite_matches_exact_scans(cache, exact_report):
     residue = theorem_suite(30000, cache=cache)
-    exact = [verify_claim(r.claim, r.n_max, 30000, cache) for r in residue.claims]
+    exact = [exact_report(r.claim, r.n_max, cache) for r in residue.claims]
     assert residue.passed
     assert timeless(residue)["claims"] == \
         timeless(SuiteReport("theorems", claims=exact))["claims"]
@@ -256,7 +278,7 @@ class FixedResidues:
     def fill(self, orders):
         pass
 
-    def residues(self, name, valid_to):
+    def spec(self, spec, valid_to):
         return self.series
 
 
@@ -291,16 +313,6 @@ def test_residue_exponent_above_k_refused(two_cpus):
     assert two_cpus == []
 
 
-class FixedSeries:
-    """Cache stand-in that hands every claim the same series."""
-
-    def __init__(self, coeffs):
-        self.series = Series(0, coeffs, len(coeffs) - 1)
-
-    def family(self, name, valid_to):
-        return self.series
-
-
 @pytest.mark.parametrize("base", [3, 5, 7])
 def test_valuation_skip_matches_full_scan(base, monkeypatch):
     calls = []
@@ -312,12 +324,12 @@ def test_valuation_skip_matches_full_scan(base, monkeypatch):
     monkeypatch.setattr(verify, "valuation", counted)
     coeffs = [0, 0, base ** 40, 3 ** 7, 0, -(base ** 90) * 2, 1, base ** 3,
               0, 5 ** 6 * 7 ** 6, -1, base ** 2 * 3 ** 9, 0, base, 3 ** 60 * 5]
-    cache = FixedSeries(coeffs)
+    series = Series(0, coeffs, len(coeffs) - 1)
     for stride, offset, exponent in ((1, 0, 1), (2, 0, 2), (3, 2, 1), (4, 0, 3)):
         claim = CongruenceClaim("p", stride, offset, exponent, base)
         n_max = (len(coeffs) - 1 - offset) // stride
         calls.clear()
-        got = verify_claim(claim, n_max, len(coeffs) - 1, cache)
+        got = verify._scan(claim, n_max, series)
         picked = coeffs[offset::stride][:n_max + 1]
         assert got.failures == [n for n, c in enumerate(picked)
                                 if c % claim.modulus]
@@ -326,9 +338,79 @@ def test_valuation_skip_matches_full_scan(base, monkeypatch):
         # Only coefficients that lower the running minimum are valued.
         lowering = [v for i, v in enumerate(vals) if v < min(vals[:i], default=INF)]
         assert len(calls) == len(lowering) < len(picked)
-    zeros = FixedSeries([0, 0, 0, 1])
-    got = verify_claim(CongruenceClaim("p", 1, 0, 1, base), 2, 3, zeros)
+    zeros = Series(0, [0, 0, 0, 1], 3)
+    got = verify._scan(CongruenceClaim("p", 1, 0, 1, base), 2, zeros)
     assert got.min_valuation == INF and got.failures == []
+
+
+def _seeded_claims():
+    """Claims in bases 2, 3, 5 and 7, exponents 1 and 2, every family."""
+    rng = random.Random(6)
+    for family in FAMILIES:
+        for base in (2, 3, 5, 7):
+            for exponent in (1, 2):
+                stride = rng.randint(1, 13)
+                offset = rng.randrange(stride)
+                top = rng.randint(100, 5000)
+                yield (CongruenceClaim(family, stride, offset, exponent, base),
+                       (top - offset) // stride)
+
+
+def test_claim_residues_match_exact_scans(cache, exact_report):
+    pairs = [(c, 1000 if c.family == "a" else 200) for c in REGRESSION_CLAIMS]
+    pairs += _seeded_claims()
+    regressions = []
+    for claim, n_max in pairs:
+        top = claim.stride * n_max + claim.offset
+        got = verify_claim(claim, n_max, top, cache)
+        want = exact_report(claim, n_max, cache)
+        assert (got.failures, got.n_max) == (want.failures, want.n_max), claim
+        cap = valuation(CLAIM_MODULUS, claim.modulus_base)
+        if want.min_valuation < cap:
+            assert got.min_valuation == want.min_valuation, claim
+            assert type(got.min_valuation) is int
+        else:
+            assert isinstance(got.min_valuation, AtLeast), claim
+            assert got.min_valuation == cap
+        regressions.append(got.min_valuation)
+    # The identity suite's regressions keep their reported valuations.
+    assert regressions[:len(REGRESSION_CLAIMS)] == [1, 1, 1, 1, 1, 1, 2, 3, 3, 6, 6]
+
+
+class NoExpansion:
+    """Cache stand-in for a claim that must be refused before any lookup."""
+
+    def family(self, name, valid_to):
+        raise AssertionError("a claim was expanded")
+
+    spec = family
+
+
+def test_claim_past_the_modulus_refused():
+    for claim, power in ((CongruenceClaim("p", 11, 6, 1, 11), "11\\^1"),
+                         (CongruenceClaim("b", 27, 16, 9), "3\\^9")):
+        with pytest.raises(ValueError, match=f"{power}.*{CLAIM_MODULUS}"):
+            verify_claim(claim, 10, claim.stride * 10 + claim.offset, NoExpansion())
+    # A vacuous claim divides every modulus; it bounds no valuation.
+    report = verify_claim(CongruenceClaim("p", 11, 6, 0, 11), 10, 116, SeriesCache())
+    assert report.passed and report.min_valuation == AtLeast(0)
+
+
+@pytest.mark.parametrize("base, cap, residue", [
+    (3, 8, 3 ** 8 * 5), (3, 8, 3 ** 10), (2, 10, 2 ** 10 * 3),
+    (5, 5, 5 ** 7), (7, 4, 7 ** 4 * 2 ** 10)])
+def test_claim_residue_multiple_of_cap_reads_at_least(base, cap, residue):
+    # residue is nonzero and below CLAIM_MODULUS, so it stands for every
+    # coefficient congruent to it, whose valuations differ from K_b up.
+    assert valuation(CLAIM_MODULUS, base) == cap and 0 < residue < CLAIM_MODULUS
+    below = (base + 1) * base ** (cap - 1)
+    claim = CongruenceClaim("p", 1, 0, 1, base)
+    cache = FixedResidues([residue, 0, residue], 2)
+    report = verify_claim(claim, 2, 2, cache)
+    assert isinstance(report.min_valuation, AtLeast)
+    assert report.min_valuation == cap and str(report.min_valuation) == f">={cap}"
+    report = verify_claim(claim, 2, 2, FixedResidues([residue, below, 0], 2))
+    assert report.min_valuation == cap - 1 and type(report.min_valuation) is int
 
 
 def test_congruent_up_to(cache):
