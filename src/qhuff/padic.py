@@ -9,7 +9,8 @@ def valuation(n, p=3):
     """Largest e with p^e dividing n; the zero integer maps to infinity.
 
     Divides out square chunks p, p^2, p^4, ... then walks back down, so
-    huge valuations cost O(log v) bignum divisions instead of v.
+    huge valuations cost O(log v) bignum divisions instead of v.  Each
+    test is one divmod, since the remainder costs the whole division.
     """
     if not isinstance(n, int) or not isinstance(p, int):
         raise TypeError("valuation expects integers")
@@ -21,15 +22,18 @@ def valuation(n, p=3):
     total = 0
     chunk, width = p, 1
     stack = []
-    while n % chunk == 0:
-        n //= chunk
+    q, r = divmod(n, chunk)
+    while not r:
+        n = q
         total += width
         stack.append((chunk, width))
         chunk *= chunk
         width *= 2
+        q, r = divmod(n, chunk)
     while stack:
         chunk, width = stack.pop()
-        if n % chunk == 0:
-            n //= chunk
+        q, r = divmod(n, chunk)
+        if not r:
+            n = q
             total += width
     return total

@@ -11,6 +11,9 @@ needed table depth is computed from the actual support.  Past a few
 hundred rows the materialised table gets expensive (entries near the
 diagonal hold thousands of base-3 digits), so deep steps stream the rows,
 keeping only the three live ones while folding the product on the fly.
+The fold sums ``_GROUP`` rows at a time, each unit scaled only to its
+group's lowest 3-power (tens of bits); the rest of the power, thousands of
+bits deep in a chain, is applied once per column per group, not per row.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ _FAMILIES = ("X", "Y")
 
 # Materialise the table for steps needing at most this many rows.
 _STREAM_THRESHOLD = 400
+# View rows summed per group by the streamed fold.
+_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,11 @@ def _step_streaming(v):
     Works on scaled rows.  For view entry (t, j) right of the floor
     boundary the forced exponent is 3j + (nu(old_t) - t - kappa), so after
     pulling each old entry apart as 3^nu * unit the per-column exponent
-    shifts uniformly with j.  Scaling every unit to the common base G then
-    turns each row's contribution into a plain multiply-accumulate, and a
-    single ladder of 3^(3j+G) rebuilds the exact entries at the end.
-    Terms left of the boundary carry no forced power and fold directly.
+    shifts uniformly with j.  Each unit is scaled only to the lowest
+    exponent of its group of ``_GROUP`` rows, keeping the products narrow;
+    each group's sum is lifted to the common base G once per column, and
+    one ladder of 3^(3j+G) rebuilds the exact entries at the end.  Terms
+    left of the boundary carry no forced power and fold directly.
     """
     kind = step_kind(v)
     s = v.support
@@ -126,9 +132,17 @@ def _step_streaming(v):
     if base < -3:
         raise ValueError(
             f"entry valuations too small for the scaled step (base {base})")
+    group_base = [min((g for g in gs[k:k + _GROUP] if g is not None), default=base)
+                  for k in range(0, s, _GROUP)]
 
     scaled = [0] * width_out
     direct = [0] * width_out
+    group, acc = 0, []
+
+    def spill():
+        power = 3 ** (group_base[group] - base)
+        scaled[:len(acc)] = [x + power * y for x, y in zip(scaled, acc)]
+
     for i, row in iter_scaled_rows(source_row(s)):
         t = _view_rows_through(kind, i)
         if source_row(t) != i:
@@ -136,7 +150,10 @@ def _step_streaming(v):
         coeff = v.entries[t - 1]
         if not coeff:
             continue
-        unit = (coeff // 3 ** nus[t - 1]) * 3 ** (gs[t - 1] - base)
+        if (t - 1) // _GROUP != group:
+            spill()
+            group, acc = (t - 1) // _GROUP, []
+        unit = (coeff // 3 ** nus[t - 1]) * 3 ** (gs[t - 1] - group_base[group])
         lo = col_start(t) - 1
         width = view_width(kind, t)
         clamped = min((t + kappa) // 3, width)
@@ -144,9 +161,11 @@ def _step_streaming(v):
             src = row[lo:lo + clamped]
             win = direct[:clamped]
             direct[:clamped] = [x + coeff * u for x, u in zip(win, src)]
+        acc.extend([0] * (width - len(acc)))
         src = row[lo + clamped:lo + width]
-        win = scaled[clamped:width]
-        scaled[clamped:width] = [x + unit * u for x, u in zip(win, src)]
+        win = acc[clamped:width]
+        acc[clamped:width] = [x + unit * u for x, u in zip(win, src)]
+    spill()
 
     power = 3 ** (3 + base)
     out = []

@@ -4,7 +4,7 @@ from qhuff.eta import FAMILIES, expand_spec
 from qhuff.huffing import extract_progression
 from qhuff.matrices import InsufficientRows, MatrixTable
 from qhuff.padic import valuation
-from qhuff.vectors import (CoeffVector, _step_streaming, chain,
+from qhuff.vectors import (_GROUP, CoeffVector, _step_streaming, chain,
                            check_valuations, expected_progression,
                            initial_vector, reconstruct, required_depth, step,
                            step_kind, valuation_floor)
@@ -83,6 +83,29 @@ def test_streaming_valuation_guard():
     # a real chain never gets here; entry valuations grow with depth
     with pytest.raises(ValueError):
         _step_streaming(CoeffVector("X", 2, (1, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("family,alpha", [("X", 6), ("Y", 5)])
+def test_grouped_fold_matches_table(family, alpha):
+    # supports 183 and 243: many full row groups and a partial last one
+    v = chain(family, alpha)[alpha]
+    assert v.support > 8 * _GROUP and v.support % _GROUP
+    assert _step_streaming(v) == step(v, MatrixTable(required_depth(v)))
+
+
+def test_grouped_fold_on_edited_vectors():
+    v = chain("X", 6)[6]
+    table = MatrixTable(required_depth(v))
+    entries = list(v.entries)
+    hole = entries[:]
+    hole[2 * _GROUP:3 * _GROUP] = [0] * _GROUP
+    single = [0] * 40 + [entries[40]]
+    # a deep entry at a group's start moves its lowest exponent off that row
+    uneven = entries[:]
+    uneven[_GROUP] *= 3 ** 200
+    for edited in (hole, single, uneven):
+        w = CoeffVector("X", 6, edited)
+        assert _step_streaming(w) == step(w, table)
 
 
 def test_expected_progressions():
