@@ -203,14 +203,16 @@ class ClaimReport:
         }
 
 
-def _expand(spec, order):
-    """Worker entry point: ``spec`` expanded to ``order``.
+def _expand(spec, order, prior=None):
+    """Worker entry point: ``spec`` expanded to ``order``, and its state.
 
-    A ``residues.Reduced`` spec is expanded modulo its modulus.
+    An exact spec has no state (None).  A ``residues.Reduced`` spec is
+    expanded modulo its modulus, resuming from the ``prior`` (series,
+    state) it returned at a lower order, if given.
     """
     if isinstance(spec, EtaQuotientSpec):
-        return expand_spec(spec, order)
-    return spec.expand(order)
+        return expand_spec(spec, order), None
+    return spec.expand(order, prior)
 
 
 def _reduced(name, modulus):
@@ -231,14 +233,18 @@ class SeriesCache:
 
     Family series are stored under the family name, others under the
     rendered spec; a ``residues.Reduced`` spec renders to a key that no
-    exact spec does.  ``stats`` counts lookups: ``hits`` (the stored series
-    reached far enough), ``widenings`` (it was replaced by a wider one,
-    whose narrower coefficients add to ``discarded_coeffs``) and
-    ``misses`` (nothing was stored).
+    exact spec does.  Beside each Reduced series the cache keeps its
+    division state, so widening it resumes the divisions and computes only
+    the missing coefficients; an exact series is expanded again from q^0.
+    ``stats`` counts lookups: ``hits`` (the stored series reached far
+    enough), ``widenings`` (it was replaced by a wider one) and ``misses``
+    (nothing was stored), and ``discarded_coeffs`` the stored coefficients
+    that widenings computed again, those of exact series.
     """
 
     def __init__(self):
         self._store = {}
+        self._states = {}
         self.stats = dict.fromkeys(
             ("hits", "widenings", "misses", "discarded_coeffs"), 0)
 
@@ -250,28 +256,28 @@ class SeriesCache:
         missing or too narrow are expanded side by side, one worker process
         each up to the number of usable CPUs, when at least two are pending
         and each needs ``POOL_MIN_ORDER`` coefficients; otherwise they are
-        expanded here, one after another.  Both routes store the same
-        series.  An error in a worker re-raises here; a worker that dies
-        raises ``BrokenProcessPool``.
+        expanded here, one after another.  A family stored too narrow is
+        widened from its stored state on either route, and both routes
+        store the same series.  An error in a worker re-raises here; a
+        worker that dies raises ``BrokenProcessPool``.
         """
         pending = {}
         for name, order in orders.items():
             spec = _reduced(name, 3 ** RESIDUE_EXPONENT)
             key = spec.render()
             if self._stored(key, order) is None:
-                pending[key] = spec, order
+                pending[key] = spec, order, self._prior(key)
         workers = min(len(pending), _usable_cpus())
-        if workers < 2 or min(o for _, o in pending.values()) < POOL_MIN_ORDER:
-            for key, (spec, order) in pending.items():
-                self._store[key] = _expand(spec, order)
+        if workers < 2 or min(job[1] for job in pending.values()) < POOL_MIN_ORDER:
+            for key, job in pending.items():
+                self._keep(key, _expand(*job))
             return
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers) as pool:
-            futures = {key: pool.submit(_expand, spec, order)
-                       for key, (spec, order) in pending.items()}
+            futures = {key: pool.submit(_expand, *job) for key, job in pending.items()}
             for key, future in futures.items():
-                self._store[key] = future.result()
+                self._keep(key, future.result())
 
     def family(self, name, valid_to):
         return self._lookup(name, valid_to, FAMILIES[name].spec)
@@ -282,8 +288,21 @@ class SeriesCache:
     def _lookup(self, key, valid_to, spec):
         cur = self._stored(key, valid_to)
         if cur is None:
-            cur = self._store[key] = _expand(spec, valid_to)
+            cur = self._keep(key, _expand(spec, valid_to, self._prior(key)))
         return cur
+
+    def _prior(self, key):
+        """The stored (series, state) a widening of ``key`` resumes, or None."""
+        state = self._states.get(key)
+        return None if state is None else (self._store[key], state)
+
+    def _keep(self, key, expanded):
+        """Store an expansion's series and state under ``key``; returns the series."""
+        series, state = expanded
+        self._store[key] = series
+        if state is not None:
+            self._states[key] = state
+        return series
 
     def _stored(self, key, valid_to):
         """The series under ``key`` if it reaches ``valid_to``, else None.
@@ -295,7 +314,7 @@ class SeriesCache:
             self.stats["misses"] += 1
         elif cur.valid_to < valid_to:
             self.stats["widenings"] += 1
-            if not cur.is_zero:
+            if key not in self._states and not cur.is_zero:
                 self.stats["discarded_coeffs"] += int(cur.valid_to) - cur.lead + 1
         else:
             self.stats["hits"] += 1

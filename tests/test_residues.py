@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhuff
 from qhuff.eta import expand_eta, expand_spec, parse
@@ -30,6 +32,48 @@ def test_residue_kernel_matches_exact(k, length):
             assert div_residues(n, d, length, modulus) == want
 
 
+@st.composite
+def unit_divisions(draw):
+    """A unit-sign divisor, a numerator and a length for the kernel."""
+    length = draw(st.sampled_from((600, 1025, 1100)) | st.integers(1, 1100))
+    terms = {}
+    for lo, hi in ((1, 31), (32, 511), (512, 1140)):  # near, mid and far terms
+        terms.update(draw(st.dictionaries(st.integers(lo, hi), st.sampled_from((-1, 1)),
+                                          max_size=12)))
+    den = [draw(st.sampled_from((-1, 1)))] + [0] * max(terms, default=0)
+    for e, c in terms.items():
+        den[e] = c
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size = draw(st.integers(0, length + 2))
+    num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(size)]
+    return num, den, length
+
+
+SPLITS = (0, 31, 32, 33, 511, 512, 513)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_divisions(), st.sampled_from((M32, CLAIM_MODULUS)))
+def test_resumed_residue_kernel_matches_one_shot(division, modulus):
+    # Resuming from the packed outputs of a shorter call, once from each
+    # split point and through all of them in turn, gives the one-shot
+    # residues, and those are the exact quotient's.
+    num, den, length = division
+    whole = div_residues(num, den, length, modulus)
+    assert whole == [x % modulus for x in _recip_core(num, den, length)]
+    splits = [s for s in SPLITS if s < length] + [length]
+    for split in splits:
+        packed = bytearray()
+        head = div_residues(num, den, split, modulus, packed)
+        assert len(packed) == 8 * split
+        assert head + div_residues(num[split:], den, length, modulus, packed) == whole
+        assert len(packed) == 8 * length
+    packed, got = bytearray(), []
+    for split in splits:
+        got += div_residues(num[len(got):], den, split, modulus, packed)
+    assert got == whole
+
+
 def test_residue_kernel_slot_guard():
     # One packed term: slots stay below (1 + 1) * modulus, at most 2^64.
     den = [1] + [0] * 39 + [1]
@@ -53,7 +97,7 @@ def test_residue_expansion_matches_exact():
             spec = parse(text)
             for order in (3, 40, 1100):
                 exact = expand_spec(spec, order)
-                got = expand_spec_residues(spec, order, modulus)
+                got, _ = expand_spec_residues(spec, order, modulus)
                 assert got.valid_to == order
                 lo = min(spec.qshift, 0)
                 assert got.coefficients(lo, order) == \

@@ -124,7 +124,8 @@ def test_series_cache_counts_its_lookups():
         cache.family("p", order)
     assert cache.stats == {"hits": 2, "widenings": 1, "misses": 1,
                            "discarded_coeffs": 21}
-    # Reduced keys count the same way, through fill and through spec.
+    # Reduced keys count the same way, through fill and through spec, but a
+    # widening resumes the stored divisions and recomputes nothing.
     cache = SeriesCache()
     cache.fill({"a3": 30})
     cache.fill({"a3": 20, "a9": 10})
@@ -134,7 +135,47 @@ def test_series_cache_counts_its_lookups():
     cache.spec(Reduced(FAMILIES["a3"].spec, CLAIM_MODULUS), 50)
     cache.family("a3", 50)
     assert cache.stats == {"hits": 3, "widenings": 1, "misses": 4,
-                           "discarded_coeffs": 31}
+                           "discarded_coeffs": 0}
+
+
+WIDENINGS = (40, 600, 1100)  # across the 512-coefficient block edge
+
+
+def _check_widenings(cache, family, modulus, orders):
+    """Widen ``family``'s residues through ``orders``, each time to a new
+    series equal to a cold expansion and to the exact coefficients."""
+    key = Reduced(FAMILIES[family].spec, modulus)
+    exact = expand_spec(key.spec, orders[-1]).coefficients(0, orders[-1])
+    prev = None
+    for order in orders:
+        got = cache.spec(key, order)
+        assert got is not prev
+        assert got == key.expand(order)[0]
+        assert got.coefficients(0, order) == [c % modulus for c in exact[:order + 1]]
+        prev = got
+
+
+def test_reduced_widening_matches_cold_residues():
+    for family in FAMILIES:
+        for modulus in (M, CLAIM_MODULUS):
+            cache = SeriesCache()
+            _check_widenings(cache, family, modulus, WIDENINGS)
+            assert cache.stats == {"hits": 0, "widenings": 2, "misses": 1,
+                                   "discarded_coeffs": 0}
+
+
+def test_residue_widening_past_the_slot_guard_keeps_the_stored_series():
+    # p's divisor f1 has 42 packed terms at order 999 and 64 at 1999, where
+    # (64 + 1) * 2^58 passes 2^64.
+    cache = SeriesCache()
+    key = Reduced(FAMILIES["p"].spec, 2 ** 58)
+    narrow = cache.spec(key, 999)
+    with pytest.raises(OverflowError, match="64 packed divisor terms"):
+        cache.spec(key, 1999)
+    assert cache.spec(key, 999) is narrow
+    assert narrow == key.expand(999)[0]
+    # The stored state is intact: a widening that fits resumes from it.
+    assert cache.spec(key, 1800) == key.expand(1800)[0]
 
 
 class SpyPool(ProcessPoolExecutor):
@@ -161,11 +202,11 @@ def two_cpus(monkeypatch):
     return SpyPool.made
 
 
-def _raise_in_worker(spec, order):
+def _raise_in_worker(spec, order, prior):
     raise ZeroDivisionError(f"{spec.render()} to {order}")
 
 
-def _die_in_worker(spec, order):
+def _die_in_worker(spec, order, prior):
     os._exit(1)
 
 
@@ -196,6 +237,19 @@ def test_fill_matches_sequential(two_cpus):
         assert cache.family(name, POOLED - 1) == exact.truncate(POOLED - 1)
     cache.fill({"a3": POOLED - 1000, "a9": POOLED})
     assert two_cpus == [2]
+
+
+def test_pooled_fill_then_widen_resumes_residues(two_cpus, monkeypatch):
+    # The second fill resumes in the workers from the state the first one
+    # sent back; the widening after it resumes here from the second's.
+    monkeypatch.setattr(verify, "POOL_MIN_ORDER", WIDENINGS[0])
+    cache = SeriesCache()
+    cache.fill(dict.fromkeys(FAMILIES, WIDENINGS[0]))
+    cache.fill(dict.fromkeys(FAMILIES, WIDENINGS[1]))
+    assert two_cpus == [2, 2]
+    for family in FAMILIES:
+        _check_widenings(cache, family, M, WIDENINGS[1:])
+    assert cache.stats["discarded_coeffs"] == 0
 
 
 def test_fill_suite_matches_sequential(two_cpus, monkeypatch):
