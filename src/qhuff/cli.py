@@ -22,9 +22,10 @@ from .verify import (SeriesCache, identity_suite, matrix_suite, oracle_suite,
 USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
 
-# Deepest chain `dump vectors` computes: the vector suite's depth.  The
-# chains are exact and their tables grow as 3^alpha; Y at depth 9 needs
-# 26244 table rows, hours of work.
+# Deepest chain `dump vectors` computes, and deepest `recon_alpha` and
+# `val_alpha` the vector suite accepts: its default depth.  The chains are
+# exact and their tables grow as 3^alpha; Y at depth 9 needs 26244 table
+# rows, hours of work.
 MAX_VECTOR_DEPTH = 8
 
 
@@ -56,6 +57,10 @@ class RunConfig:
                 raise ValueError(f"{f.name} {value} must be at least {least}")
         if self.format not in ("text", "json", "csv"):
             raise ValueError(f"format {self.format!r} must be text, json, or csv")
+        for name in ("recon_alpha", "val_alpha"):
+            if getattr(self, name) > MAX_VECTOR_DEPTH:
+                raise ValueError(f"{name} {getattr(self, name)} is past the vector "
+                                 f"chain cap {MAX_VECTOR_DEPTH}")
 
 
 def load_config_file(path):

@@ -14,10 +14,19 @@ keeping only the three live ones while folding the product on the fly.
 The fold sums ``_GROUP`` rows at a time, each unit scaled only to its
 group's lowest 3-power (tens of bits); the rest of the power, thousands of
 bits deep in a chain, is applied once per column per group, not per row.
+
+Every view row adds into the next vector on its own, so a step of more
+than ``_STREAM_THRESHOLD`` rows is split, with two or more usable CPUs,
+into contiguous ranges of view rows on group edges, one process each.  A
+range generates rows only up to its own top; the calling process folds the
+top range, which needs every row.  The partial sums are added before the
+3-power ladder, so the vectors are the same on any number of CPUs.  Steps
+up to the threshold, and every step on one CPU, fold in process.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .eta import expand_spec, parse
@@ -29,10 +38,18 @@ from .series import Series
 
 _FAMILIES = ("X", "Y")
 
-# Materialise the table for steps needing at most this many rows.
+# Materialise the table for steps needing at most this many rows; larger
+# steps stream, split across the usable CPUs.
 _STREAM_THRESHOLD = 400
 # View rows summed per group by the streamed fold.
 _GROUP = 16
+# Partial-sum entries per message from a split step's worker.
+_CHUNK = 256
+# Bits a scaled table row entry gains per row, at most: right of the floor
+# boundary each entry is the sum of three parents, so entries grow by the
+# tribonacci constant 1.8393 per row (row 2916 peaks at 0.877 bits per row).
+_ROW_BITS = math.log2(1.8392867552141612)
+_LOG2_3 = math.log2(3)
 
 
 @dataclass(frozen=True)
@@ -107,34 +124,76 @@ def _step_streaming(v):
     Works on scaled rows.  For view entry (t, j) right of the floor
     boundary the forced exponent is 3j + (nu(old_t) - t - kappa), so after
     pulling each old entry apart as 3^nu * unit the per-column exponent
-    shifts uniformly with j.  Each unit is scaled only to the lowest
-    exponent of its group of ``_GROUP`` rows, keeping the products narrow;
-    each group's sum is lifted to the common base G once per column, and
-    one ladder of 3^(3j+G) rebuilds the exact entries at the end.  Terms
-    left of the boundary carry no forced power and fold directly.
+    shifts uniformly with j: the fold (:func:`_fold_rows`) accumulates each
+    term at base G = min(nu - t - kappa), and one ladder of 3^(3j+G)
+    rebuilds the exact entries at the end.  Terms left of the boundary
+    carry no forced power and fold directly.
+
+    A step needing more than ``_STREAM_THRESHOLD`` table rows, with at least
+    two usable CPUs, is split into contiguous ranges of view rows on group
+    edges, at most one per CPU, balanced by :func:`_range_edges`.  Every
+    range but the top one is folded in its own worker process, which
+    generates rows only up to the range's top; the top range, which needs
+    every row, is folded here.  The partial sums are added up before the
+    ladder, so the result is the same integers on any number of CPUs.
+    Smaller steps, and every step on one CPU, fold in this process.
     """
     kind = step_kind(v)
     s = v.support
     if s == 0:
         return CoeffVector(v.family, v.alpha + 1, ())
     kappa = _VIEW_KAPPA[kind]
-    source_row = _VIEW_SOURCE_ROW[kind]
-    col_start = _VIEW_COL_START[kind]
-    width_out = view_width(kind, s)
-
     nus = [valuation(c) if c else None for c in v.entries]
-    gs = [nu - t - kappa if nu is not None else None
-          for t, nu in enumerate(nus, start=1)]
-    live = [g for g in gs if g is not None]
+    live = [nu - t - kappa for t, nu in enumerate(nus, start=1) if nu is not None]
     if not live:
         return CoeffVector(v.family, v.alpha + 1, ())
     base = min(live)
     if base < -3:
         raise ValueError(
             f"entry valuations too small for the scaled step (base {base})")
-    group_base = [min((g for g in gs[k:k + _GROUP] if g is not None), default=base)
-                  for k in range(0, s, _GROUP)]
 
+    edges = [0, s]
+    if required_depth(v) > _STREAM_THRESHOLD:
+        from .verify import _usable_cpus
+
+        cpus = _usable_cpus()
+        if cpus > 1:
+            edges = _range_edges(v, nus, cpus)
+    jobs = [(kind, lo, v.entries[lo:hi], nus[lo:hi], base)
+            for lo, hi in zip(edges, edges[1:])]
+    direct, scaled = _fold_ranges(jobs)
+
+    power = 3 ** (3 + base)
+    for j, y in enumerate(scaled):
+        if y:
+            direct[j] += power * y
+            scaled[j] = 0  # freed as it is used
+        power *= 27
+    return CoeffVector(v.family, v.alpha + 1, direct)
+
+
+def _fold_rows(kind, first, entries, nus, base):
+    """Partial sums (direct, scaled) of view rows first+1 .. first+len(entries).
+
+    ``entries`` and ``nus`` are those rows' old entries and valuations, and
+    ``base`` the step's G.  Rows are generated from the first up to the
+    range's top.  Each unit is scaled only to the lowest exponent of its
+    group of ``_GROUP`` rows, keeping the products narrow; each group's sum
+    is lifted to G once per column.  ``first`` is a group edge, so the
+    groups are those of the whole step.
+    """
+    kappa = _VIEW_KAPPA[kind]
+    source_row = _VIEW_SOURCE_ROW[kind]
+    col_start = _VIEW_COL_START[kind]
+    if not any(entries):
+        return [], []
+    top = first + len(entries)
+    gs = [nu - t - kappa if nu is not None else None
+          for t, nu in enumerate(nus, start=first + 1)]
+    group_base = [min((g for g in gs[k:k + _GROUP] if g is not None), default=base)
+                  for k in range(0, len(gs), _GROUP)]
+
+    width_out = view_width(kind, top)
     scaled = [0] * width_out
     direct = [0] * width_out
     group, acc = 0, []
@@ -143,17 +202,18 @@ def _step_streaming(v):
         power = 3 ** (group_base[group] - base)
         scaled[:len(acc)] = [x + power * y for x, y in zip(scaled, acc)]
 
-    for i, row in iter_scaled_rows(source_row(s)):
+    for i, row in iter_scaled_rows(source_row(top)):
         t = _view_rows_through(kind, i)
-        if source_row(t) != i:
+        if t <= first or source_row(t) != i:
             continue
-        coeff = v.entries[t - 1]
+        k = t - first - 1
+        coeff = entries[k]
         if not coeff:
             continue
-        if (t - 1) // _GROUP != group:
+        if k // _GROUP != group:
             spill()
-            group, acc = (t - 1) // _GROUP, []
-        unit = (coeff // 3 ** nus[t - 1]) * 3 ** (gs[t - 1] - group_base[group])
+            group, acc = k // _GROUP, []
+        unit = (coeff // 3 ** nus[k]) * 3 ** (gs[k] - group_base[group])
         lo = col_start(t) - 1
         width = view_width(kind, t)
         clamped = min((t + kappa) // 3, width)
@@ -166,13 +226,144 @@ def _step_streaming(v):
         win = acc[clamped:width]
         acc[clamped:width] = [x + unit * u for x, u in zip(win, src)]
     spill()
+    return direct, scaled
 
-    power = 3 ** (3 + base)
-    out = []
-    for x, y in zip(direct, scaled):
-        out.append(x + power * y if y else x)
-        power *= 27
-    return CoeffVector(v.family, v.alpha + 1, out)
+
+def _fold_ranges(jobs):
+    """Sum of :func:`_fold_rows` over the jobs: the last here, each other in a worker.
+
+    Workers start with the platform's default start method.  Once the top
+    range is folded here, each worker's partial sums are read from a pipe
+    ``_CHUNK`` entries at a time and added in place, so no second copy of
+    the widest lists is alive at once.  (A process pool unpickles whole
+    results on a helper thread, whose malloc arena keeps the memory: the
+    ``chains`` benchmark's peak RSS rose 10% with one.)  Every worker is
+    joined before this returns.  An error in a worker re-raises here; a
+    worker that dies raises ``BrokenProcessPool``, as a dead
+    ``SeriesCache.fill`` worker does.
+    """
+    if len(jobs) == 1:
+        return _fold_rows(*jobs[0])
+    import multiprocessing
+
+    workers = []
+    try:
+        for job in jobs[:-1]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_fold_worker, args=(sender, job))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        direct, scaled = _fold_rows(*jobs[-1])
+        for worker, receiver in workers:
+            try:
+                width = receiver.recv()  # or the worker's error
+                if isinstance(width, Exception):
+                    raise width
+                pad = [0] * (width - len(direct))
+                direct.extend(pad)
+                scaled.extend(pad)
+                for acc in (direct, scaled):
+                    for lo in range(0, width, _CHUNK):
+                        for j, x in enumerate(receiver.recv(), start=lo):
+                            acc[j] += x
+            except EOFError:
+                from concurrent.futures.process import BrokenProcessPool
+
+                worker.join()
+                raise BrokenProcessPool(
+                    f"a vector step worker exited with code {worker.exitcode}"
+                ) from None
+        return direct, scaled
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.join()
+
+
+def _fold_worker(sender, job):
+    """Worker entry: fold one range and send it back, or send the error.
+
+    Sends the partial sums' width, then their ``_CHUNK``-entry slices,
+    direct then scaled.
+    """
+    try:
+        direct, scaled = _fold_rows(*job)
+    except Exception as exc:
+        sender.send(exc)
+    else:
+        sender.send(len(direct))
+        for part in (direct, scaled):
+            for lo in range(0, len(part), _CHUNK):
+                sender.send(part[lo:lo + _CHUNK])
+    sender.close()
+
+
+def _words(bits):
+    return int(bits) // 64 + 1
+
+
+def _range_edges(v, nus, ranges):
+    """View-row edges of at most ``ranges`` ranges with the least largest work.
+
+    Edges fall on group edges.  The work of a range is estimated from v
+    before any row exists, in 64-bit word operations, with one more per
+    entry for the interpreter: each entry of table row i is two additions
+    of row-entry words (1 + 2r), and each entry multiplied into view row t
+    is one product and one addition of unit and row-entry words
+    ((1 + u)(1 + r)).  A scaled row entry has at most ``_ROW_BITS * i``
+    bits; a unit's bits follow from its entry's length and valuation.  A
+    range generates every row from the first up to its top, so the top
+    range pays for all of them and gets the fewest view rows: about the
+    top quarter on two CPUs.
+    """
+    kind = step_kind(v)
+    source_row = _VIEW_SOURCE_ROW[kind]
+    s = v.support
+    gen, mac = [], []  # per group: rows generated through it, its products
+    generated, top_row = 0, 0
+    for k in range(0, s, _GROUP):
+        group = range(k + 1, min(k + _GROUP, s) + 1)
+        for i in range(top_row + 1, source_row(group[-1]) + 1):
+            generated += i * (1 + 2 * _words(_ROW_BITS * i))
+        top_row = source_row(group[-1])
+        gen.append(generated)
+        # unit = entry / 3^(nu - t - lowest), lowest the group's least nu - t
+        lowest = min((nus[t - 1] - t for t in group if nus[t - 1] is not None),
+                     default=0)
+        work = 0
+        for t in group:
+            if v.entries[t - 1]:
+                unit_bits = v.entries[t - 1].bit_length() - (t + lowest) * _LOG2_3
+                work += (view_width(kind, t) * (1 + _words(_ROW_BITS * source_row(t)))
+                         * (1 + _words(max(unit_bits, 0))))
+        mac.append(work)
+
+    def cut(limit):
+        """Greedy group edges of ranges costing at most ``limit`` each, or None."""
+        edges, spent = [0], 0
+        for g, (made, work) in enumerate(zip(gen, mac)):
+            if made + work > limit:
+                return None
+            if made + spent + work > limit:
+                edges.append(g)
+                spent = 0
+            spent += work
+        edges.append(len(mac))
+        return edges if len(edges) - 1 <= ranges else None
+
+    lo, hi = 0, gen[-1] + sum(mac)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cut(mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return [min(g * _GROUP, s) for g in cut(lo)]
 
 
 def advance(v):
@@ -259,10 +450,21 @@ class ValuationCheck:
 
 
 def check_valuations(v):
-    """Exact 3-adic valuation of every entry against its proven floor."""
+    """Exact 3-adic valuation of every entry against its proven floor.
+
+    Each entry is divided once by 3^floor (the powers built up along j);
+    when that leaves no remainder only the quotient's valuation is left to
+    find, a few floor digits shorter.  An entry below its floor falls back
+    to its own valuation.
+    """
     out = []
+    exponent, power = 0, 1
     for j, entry in enumerate(v.entries, start=1):
-        nu = valuation(entry, 3)
         bound = valuation_floor(v.family, v.alpha, j)
+        if bound > exponent:
+            power *= 3 ** (bound - exponent)
+            exponent = bound
+        q, r = divmod(entry, power)
+        nu = exponent + valuation(q, 3) if not r else valuation(entry, 3)
         out.append(ValuationCheck(j, nu, bound, nu >= bound, nu == bound))
     return out

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qhuff import cli
+from qhuff import cli, vectors
 from qhuff.matrices import ZeroPatternViolation
 from qhuff.vectors import CoeffVector
 from qhuff.verify import ItemReport, SuiteReport
@@ -188,6 +188,28 @@ def test_dump_vectors_past_depth_cap_exits_2(capsys, monkeypatch):
                        str(cli.MAX_VECTOR_DEPTH + 1))
     assert rc == 2 and not out
     assert f"cap {cli.MAX_VECTOR_DEPTH}" in err
+
+
+@pytest.mark.parametrize("key", ["val_alpha", "recon_alpha"])
+def test_config_chain_depth_past_cap_exits_2(capsys, monkeypatch, tmp_path, key):
+    def no_chain(family, depth):
+        raise AssertionError("a chain was computed")
+
+    monkeypatch.setattr(vectors, "chain", no_chain)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {cli.MAX_VECTOR_DEPTH + 1}\n")
+    rc, out, err = run(capsys, "verify", "vectors", "--config", str(conf))
+    assert rc == 2 and not out
+    assert err.startswith(f"error: {key} ") and f"cap {cli.MAX_VECTOR_DEPTH}" in err
+
+
+def test_config_chain_depth_at_cap_accepted(tmp_path):
+    import argparse
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"val_alpha = {cli.MAX_VECTOR_DEPTH}\n"
+                    f"recon_alpha = {cli.MAX_VECTOR_DEPTH}\n")
+    config = cli.make_config(argparse.Namespace(config=str(conf)))
+    assert config.val_alpha == config.recon_alpha == cli.MAX_VECTOR_DEPTH
 
 
 def test_config_file_precedence(capsys, tmp_path):

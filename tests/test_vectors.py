@@ -1,10 +1,17 @@
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.process import BaseProcess
+
 import pytest
 
+from qhuff import cli, vectors, verify
 from qhuff.eta import FAMILIES, expand_spec
 from qhuff.huffing import extract_progression
 from qhuff.matrices import InsufficientRows, MatrixTable
 from qhuff.padic import valuation
-from qhuff.vectors import (_GROUP, CoeffVector, _step_streaming, chain,
+from qhuff.vectors import (_GROUP, _STREAM_THRESHOLD, CoeffVector,
+                           ValuationCheck, _step_streaming, advance, chain,
                            check_valuations, expected_progression,
                            initial_vector, reconstruct, required_depth, step,
                            step_kind, valuation_floor)
@@ -108,6 +115,124 @@ def test_grouped_fold_on_edited_vectors():
         assert _step_streaming(w) == step(w, table)
 
 
+# -- split steps -----------------------------------------------------------
+
+_fold_worker = vectors._fold_worker
+
+
+def _raise_in_fold(*job):
+    raise ZeroDivisionError("fold in a worker")
+
+
+def _raise_in_worker(sender, job):
+    vectors._fold_rows = _raise_in_fold  # in the worker process only
+    _fold_worker(sender, job)
+
+
+def _die_in_worker(sender, job):
+    os._exit(1)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Two usable CPUs, whatever the host has; the worker processes started."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    started = []
+    start = BaseProcess.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", recording)
+    return started
+
+
+@pytest.fixture
+def no_workers(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(BaseProcess, "start", refuse)
+
+
+def _partitions(s):
+    last = s // _GROUP * _GROUP  # the partial last group starts here
+    return [[0, 4 * _GROUP, s], [0, last, s], [0, _GROUP, last - 2 * _GROUP, s],
+            [0, 0, 5 * _GROUP, s], [0, 3 * _GROUP, 3 * _GROUP, s], [0, s, s]]
+
+
+@pytest.mark.parametrize("family,alpha", [("X", 6), ("Y", 5)])
+def test_split_step_any_partition_matches_table(family, alpha, workers,
+                                                monkeypatch):
+    v = chain(family, alpha)[alpha]
+    assert required_depth(v) > _STREAM_THRESHOLD and v.support % _GROUP
+    want = step(v, MatrixTable(required_depth(v)))
+    for edges in _partitions(v.support):
+        monkeypatch.setattr(vectors, "_range_edges", lambda v, nus, n: edges)
+        assert _step_streaming(v) == want, edges
+    assert len(workers) == 1 + 1 + 2 + 2 + 2 + 1
+
+
+def test_split_step_starts_one_worker(workers):
+    v = chain("X", 6)[6]
+    assert _step_streaming(v) == step(v, MatrixTable(required_depth(v)))
+    assert len(workers) == 1 and workers[0].exitcode == 0
+
+
+def test_split_edges_on_group_edges():
+    for family, alpha in (("X", 6), ("Y", 5)):
+        v = chain(family, alpha)[alpha]
+        nus = [valuation(c) for c in v.entries]
+        for ranges in (2, 3, 5):
+            edges = vectors._range_edges(v, nus, ranges)
+            assert edges[0] == 0 and edges[-1] == v.support
+            assert len(edges) - 1 <= ranges
+            assert all(e % _GROUP == 0 for e in edges[:-1])
+            # each range generates every row below its top, so the higher
+            # a range, the fewer view rows it folds
+            sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
+            assert sizes == sorted(sizes, reverse=True) and sizes[-1] > 0
+
+
+def test_split_step_in_process_on_one_cpu(monkeypatch, no_workers):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    v = chain("X", 6)[6]
+    assert _step_streaming(v) == step(v, MatrixTable(required_depth(v)))
+
+
+def test_split_skips_small_steps(monkeypatch, no_workers):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    v = chain("Y", 4)[4]
+    assert required_depth(v) <= _STREAM_THRESHOLD
+    assert _step_streaming(v) == advance(v)
+
+
+def test_split_step_worker_error_reraises(workers, monkeypatch):
+    monkeypatch.setattr(vectors, "_fold_worker", _raise_in_worker)
+    with pytest.raises(ZeroDivisionError, match="in a worker"):
+        _step_streaming(chain("X", 6)[6])
+    assert len(workers) == 1 and multiprocessing.active_children() == []
+
+
+def test_split_step_dead_worker_exits_3(workers, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(vectors, "_fold_worker", _die_in_worker)
+    with pytest.raises(BrokenProcessPool, match="exited with code 1"):
+        _step_streaming(chain("X", 6)[6])
+    conf = tmp_path / "run.conf"
+    conf.write_text("recon_alpha = 1\nval_alpha = 7\n")
+    assert cli.main(["verify", "vectors", "--config", str(conf)]) == 3
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_split_chain_leaves_no_processes(workers):
+    ys = chain("Y", 6)
+    assert len(workers) == 1  # Y 5 -> 6; the earlier steps need <= 400 rows
+    assert multiprocessing.active_children() == []
+    assert ys[6] == step(ys[5], MatrixTable(required_depth(ys[5])))
+
+
 def test_expected_progressions():
     want_x = [(1, 0), (3, 2), (9, 2), (27, 20), (81, 20)]
     for alpha, pair in enumerate(want_x):
@@ -149,6 +274,40 @@ def test_check_valuations_frozen():
     assert [c.nu for c in checks] == [3, 5, 8]
     assert [c.bound for c in checks] == [2, 5, 8]
     assert [c.tight for c in checks] == [False, True, True]
+
+
+def _per_entry_checks(v):
+    """check_valuations through the valuation of each whole entry."""
+    out = []
+    for j, entry in enumerate(v.entries, start=1):
+        nu = valuation(entry, 3)
+        bound = valuation_floor(v.family, v.alpha, j)
+        out.append(ValuationCheck(j, nu, bound, nu >= bound, nu == bound))
+    return out
+
+
+@pytest.mark.parametrize("family,alpha", [("X", 7), ("Y", 6)])
+def test_check_valuations_matches_per_entry(family, alpha):
+    for v in chain(family, alpha):
+        assert check_valuations(v) == _per_entry_checks(v)
+
+
+def test_check_valuations_on_edited_vectors():
+    v = chain("Y", 3)[3]
+    entries = list(v.entries)
+    entries[4] = entries[4] // 3 ** 2 + 1  # below its floor, not divisible
+    entries[5] = 2 * 3 ** (valuation_floor("Y", 3, 6) - 1)  # one below, divisible
+    entries[7] = 0  # a zero in the middle
+    entries[9] *= 3 ** 500  # far above its floor
+    entries[10] = -entries[10]
+    w = CoeffVector("Y", 3, entries)
+    checks = check_valuations(w)
+    assert checks == _per_entry_checks(w)
+    assert [c.index for c in checks if not c.passed] == [5, 6]
+    assert checks[7].nu == float("inf") and checks[7].passed
+    assert checks[9].nu >= checks[9].bound + 500
+    x0 = CoeffVector("X", 0, (1, 2, 0, 81))  # a negative floor at j = 1
+    assert check_valuations(x0) == _per_entry_checks(x0)
 
 
 def test_deep_chain_valuations():
