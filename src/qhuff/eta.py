@@ -14,6 +14,9 @@ from .series import Series
 
 # Bound on exponent and scale literals; constants stay arbitrary precision.
 MAX_EXPONENT = 2 ** 31 - 1
+# Deepest parenthesis nesting the parser accepts; each level takes two
+# stack frames, so about 500 levels used to end in a RecursionError.
+MAX_NESTING = 100
 
 
 class QuotientSyntaxError(SyntaxError):
@@ -111,12 +114,18 @@ class EtaQuotientSpec:
         return text
 
 
+def _is_digit(ch):
+    """ASCII digits only; ``str.isdigit`` takes any Unicode digit, ``int`` not all."""
+    return "0" <= ch <= "9"
+
+
 class _Parser:
     """Recursive descent over: expr := term (('*'|'/') term)*."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -128,7 +137,7 @@ class _Parser:
     def _integer(self, bounded, what="integer"):
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while _is_digit(self._peek()):
             self.pos += 1
         if self.pos == start:
             raise QuotientSyntaxError(start, (what,))
@@ -155,7 +164,7 @@ class _Parser:
     def _term(self):
         self._skip_ws()
         ch = self._peek()
-        if ch.isdigit():
+        if _is_digit(ch):
             return EtaQuotientSpec(constant=self._integer(bounded=False))
         if ch == "q":
             self.pos += 1
@@ -167,12 +176,17 @@ class _Parser:
                 raise QuotientSyntaxError(self.pos - 1, ("positive scale",))
             return EtaQuotientSpec(factors={k: self._power()})
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise QuotientSyntaxError(
+                    self.pos, (f"at most {MAX_NESTING} nested parentheses",))
             self.pos += 1
+            self.depth += 1
             inner = self._expr()
             self._skip_ws()
             if self._peek() != ")":
                 raise QuotientSyntaxError(self.pos, ("')'",))
             self.pos += 1
+            self.depth -= 1
             return inner
         raise QuotientSyntaxError(self.pos, ("integer", "'q'", "'f'", "'('"))
 

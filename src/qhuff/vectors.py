@@ -17,11 +17,13 @@ bits deep in a chain, is applied once per column per group, not per row.
 
 Every view row adds into the next vector on its own, so a step of more
 than ``_STREAM_THRESHOLD`` rows is split, with two or more usable CPUs,
-into contiguous ranges of view rows on group edges, one process each.  A
-range generates rows only up to its own top; the calling process folds the
-top range, which needs every row.  The partial sums are added before the
-3-power ladder, so the vectors are the same on any number of CPUs.  Steps
-up to the threshold, and every step on one CPU, fold in process.
+into contiguous ranges of view rows on group edges, at most one per CPU.
+They run through ``verify.run_jobs``, the route ``SeriesCache.fill`` takes
+too: each range but the top one in a worker process, which generates rows
+only up to its range's top, and the top range, which needs every row, in
+the calling process.  The partial sums are added before the 3-power
+ladder, so the vectors are the same on any number of CPUs.  Steps up to
+the threshold, and every step on one CPU, fold in process.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import verify
 from .eta import expand_spec, parse
 from .matrices import (InsufficientRows, MatrixTable, _VIEW_COL_START,
                        _VIEW_KAPPA, _VIEW_SOURCE_ROW, _view_rows_through,
@@ -130,13 +133,10 @@ def _step_streaming(v):
     carry no forced power and fold directly.
 
     A step needing more than ``_STREAM_THRESHOLD`` table rows, with at least
-    two usable CPUs, is split into contiguous ranges of view rows on group
-    edges, at most one per CPU, balanced by :func:`_range_edges`.  Every
-    range but the top one is folded in its own worker process, which
-    generates rows only up to the range's top; the top range, which needs
-    every row, is folded here.  The partial sums are added up before the
-    ladder, so the result is the same integers on any number of CPUs.
-    Smaller steps, and every step on one CPU, fold in this process.
+    two usable CPUs, is split into ranges balanced by :func:`_range_edges`
+    and folded through ``verify.run_jobs``, the top range here (see the
+    module docstring); the partial sums are added up before the ladder, so
+    the result is the same integers on any number of CPUs.
     """
     kind = step_kind(v)
     s = v.support
@@ -154,14 +154,12 @@ def _step_streaming(v):
 
     edges = [0, s]
     if required_depth(v) > _STREAM_THRESHOLD:
-        from .verify import _usable_cpus
-
-        cpus = _usable_cpus()
+        cpus = verify._usable_cpus()
         if cpus > 1:
             edges = _range_edges(v, nus, cpus)
     jobs = [(kind, lo, v.entries[lo:hi], nus[lo:hi], base)
             for lo, hi in zip(edges, edges[1:])]
-    direct, scaled = _fold_ranges(jobs)
+    direct, scaled = verify.run_jobs(_fold_rows, jobs, _send_sums, _add_sums)[-1]
 
     power = 3 ** (3 + base)
     for j, y in enumerate(scaled):
@@ -229,78 +227,30 @@ def _fold_rows(kind, first, entries, nus, base):
     return direct, scaled
 
 
-def _fold_ranges(jobs):
-    """Sum of :func:`_fold_rows` over the jobs: the last here, each other in a worker.
+def _send_sums(sender, sums):
+    """Send partial sums: their width, then ``_CHUNK``-entry slices, direct then scaled.
 
-    Workers start with the platform's default start method.  Once the top
-    range is folded here, each worker's partial sums are read from a pipe
-    ``_CHUNK`` entries at a time and added in place, so no second copy of
-    the widest lists is alive at once.  (A process pool unpickles whole
-    results on a helper thread, whose malloc arena keeps the memory: the
-    ``chains`` benchmark's peak RSS rose 10% with one.)  Every worker is
-    joined before this returns.  An error in a worker re-raises here; a
-    worker that dies raises ``BrokenProcessPool``, as a dead
-    ``SeriesCache.fill`` worker does.
+    :func:`_add_sums` adds them into the top range's sums as they arrive,
+    so no second copy of the widest lists is alive at once.  (Whole
+    results, or a process pool, whose helper thread unpickles them in a
+    malloc arena that keeps the memory, raised the ``chains`` benchmark's
+    peak RSS by 8-11%.)
     """
-    if len(jobs) == 1:
-        return _fold_rows(*jobs[0])
-    import multiprocessing
-
-    workers = []
-    try:
-        for job in jobs[:-1]:
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.Process(target=_fold_worker, args=(sender, job))
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
-        direct, scaled = _fold_rows(*jobs[-1])
-        for worker, receiver in workers:
-            try:
-                width = receiver.recv()  # or the worker's error
-                if isinstance(width, Exception):
-                    raise width
-                pad = [0] * (width - len(direct))
-                direct.extend(pad)
-                scaled.extend(pad)
-                for acc in (direct, scaled):
-                    for lo in range(0, width, _CHUNK):
-                        for j, x in enumerate(receiver.recv(), start=lo):
-                            acc[j] += x
-            except EOFError:
-                from concurrent.futures.process import BrokenProcessPool
-
-                worker.join()
-                raise BrokenProcessPool(
-                    f"a vector step worker exited with code {worker.exitcode}"
-                ) from None
-        return direct, scaled
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
-    finally:
-        for worker, receiver in workers:
-            receiver.close()
-            worker.join()
+    sender.send(len(sums[0]))
+    for part in sums:
+        for lo in range(0, len(part), _CHUNK):
+            sender.send(part[lo:lo + _CHUNK])
 
 
-def _fold_worker(sender, job):
-    """Worker entry: fold one range and send it back, or send the error.
-
-    Sends the partial sums' width, then their ``_CHUNK``-entry slices,
-    direct then scaled.
-    """
-    try:
-        direct, scaled = _fold_rows(*job)
-    except Exception as exc:
-        sender.send(exc)
-    else:
-        sender.send(len(direct))
-        for part in (direct, scaled):
-            for lo in range(0, len(part), _CHUNK):
-                sender.send(part[lo:lo + _CHUNK])
-    sender.close()
+def _add_sums(receiver, sums):
+    """Add the partial sums :func:`_send_sums` sent into ``sums``, in place."""
+    width = receiver.recv()
+    pad = [0] * (width - len(sums[0]))
+    for acc in sums:
+        acc.extend(pad)
+        for lo in range(0, width, _CHUNK):
+            for j, x in enumerate(receiver.recv(), start=lo):
+                acc[j] += x
 
 
 def _words(bits):

@@ -51,17 +51,15 @@ RESIDUE_EXPONENT = 32
 CLAIM_MODULUS = 2 ** 10 * 3 ** 8 * 5 ** 5 * 7 ** 4
 
 # Smallest order at which expanding families in worker processes pays.
-# A pooled fill needs two idle CPUs at once and starts its workers anew
-# (20-40 ms), so its time moves with the host's load far more than one
-# in-process expansion does.  On a 2-CPU Linux host (fork start), filling
-# the residues of a3 and a9 pooled against in one process took 356
-# against 464 ms at order 30000 (medians of 7), 469 against 686 at
-# 40000, 627 against 1023 at 50000, 869 against 1496 at 60000 and 1728
-# against 3116 at 100000.  At 30000, five 40 s benchmark runs of the
-# theorem suite gave pass medians of 0.41-0.62 s pooled against
-# 0.69-0.73 s in process, a spread as large as the gain.  The floor sits
-# where the gain, about 40%, is clear of that spread.
-POOL_MIN_ORDER = 50000
+# A split fill starts one worker per group anew (fork: a few ms) and
+# expands the last group in the caller.  On a 2-CPU Linux host (fork
+# start), filling the residues of a3 and a9 split against in one process
+# took 66 against 57 ms at order 4000 (medians of 9, interleaved), 62
+# against 92 at 6000, 70 against 130 at 8000, 91 against 170 at 10000,
+# 150 against 283 at 15000, 321 against 543 at 30000 and 458 against 868
+# at 40000; a second set of 15 put the break-even between 5000 and 6000.
+# The floor sits where the gain, about 45%, is as clear as at 30000.
+POOL_MIN_ORDER = 8000
 
 
 class BudgetExceeded(ValueError):
@@ -204,7 +202,7 @@ class ClaimReport:
 
 
 def _expand(spec, order, prior=None):
-    """Worker entry point: ``spec`` expanded to ``order``, and its state.
+    """``spec`` expanded to ``order``, and its state.
 
     An exact spec has no state (None).  A ``residues.Reduced`` spec is
     expanded modulo its modulus, resuming from the ``prior`` (series,
@@ -222,10 +220,76 @@ def _reduced(name, modulus):
     return Reduced(FAMILIES[name].spec, modulus)
 
 
+def _expand_group(items):
+    """Worker entry point: ``(key, _expand(*job))`` for each (key, job) of ``items``."""
+    return [(key, _expand(*job)) for key, job in items]
+
+
 def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def run_jobs(run, jobs, send=None, receive=None):
+    """``[run(*job) for job in jobs]``: the last job here, each other in a worker.
+
+    Each worker is a ``multiprocessing.Process`` (default start method) that
+    passes its result to ``send(sender, result)`` on a one-way pipe.  Once
+    the caller has run the last job, each worker's result is read, in job
+    order, by ``receive(receiver, last)``, ``last`` being the caller's own
+    result, which a fold may add into in place.  Both default to one
+    pickled message.  A worker's error re-raises here; a worker that dies
+    raises ``BrokenProcessPool`` with its exit code.  If anything raises,
+    the caller's job included, every worker is terminated.  Every worker is
+    joined before this returns.
+    """
+    import multiprocessing
+
+    workers = []
+    try:
+        for job in jobs[:-1]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_job_worker,
+                                             args=(sender, run, send, job))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        last = run(*jobs[-1])
+        results = []
+        for worker, receiver in workers:
+            try:
+                error = receiver.recv()
+                if error is not None:
+                    raise error
+                results.append(receive(receiver, last) if receive else receiver.recv())
+            except EOFError:
+                from concurrent.futures.process import BrokenProcessPool
+
+                worker.join()
+                raise BrokenProcessPool(
+                    f"a worker process exited with code {worker.exitcode}") from None
+        return results + [last]
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.join()
+
+
+def _job_worker(sender, run, send, job):
+    """Worker entry: send None and then the job's result, or send its error."""
+    try:
+        result = run(*job)
+    except Exception as exc:
+        sender.send(exc)
+    else:
+        sender.send(None)
+        send(sender, result) if send else sender.send(result)
+    sender.close()
 
 
 class SeriesCache:
@@ -252,14 +316,14 @@ class SeriesCache:
         """Store residues mod 3**RESIDUE_EXPONENT of the families of ``orders``.
 
         ``orders`` maps family names to the order each must reach; the
-        residues are then read with ``spec(Reduced(...))``.  Families
-        missing or too narrow are expanded side by side, one worker process
-        each up to the number of usable CPUs, when at least two are pending
-        and each needs ``POOL_MIN_ORDER`` coefficients; otherwise they are
-        expanded here, one after another.  A family stored too narrow is
-        widened from its stored state on either route, and both routes
-        store the same series.  An error in a worker re-raises here; a
-        worker that dies raises ``BrokenProcessPool``.
+        residues are then read with ``spec(Reduced(...))``.  When each
+        family missing or too narrow needs ``POOL_MIN_ORDER`` coefficients,
+        they are dealt in turn into one group per usable CPU (no more groups
+        than families), and :func:`run_jobs` expands every group but the
+        last in a worker process and the last here; otherwise all are
+        expanded here.  A family stored too narrow is widened from its
+        stored state wherever it is expanded, so every route stores the same
+        series.
         """
         pending = {}
         for name, order in orders.items():
@@ -267,17 +331,12 @@ class SeriesCache:
             key = spec.render()
             if self._stored(key, order) is None:
                 pending[key] = spec, order, self._prior(key)
-        workers = min(len(pending), _usable_cpus())
-        if workers < 2 or min(job[1] for job in pending.values()) < POOL_MIN_ORDER:
-            for key, job in pending.items():
-                self._keep(key, _expand(*job))
-            return
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers) as pool:
-            futures = {key: pool.submit(_expand, *job) for key, job in pending.items()}
-            for key, future in futures.items():
-                self._keep(key, future.result())
+        items, groups = list(pending.items()), 1
+        if min((job[1] for _, job in items), default=0) >= POOL_MIN_ORDER:
+            groups = min(len(items), _usable_cpus())
+        for expanded in run_jobs(_expand_group, [(items[g::groups],) for g in range(groups)]):
+            for key, result in expanded:
+                self._keep(key, result)
 
     def family(self, name, valid_to):
         return self._lookup(name, valid_to, FAMILIES[name].spec)
@@ -454,8 +513,8 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     expanded; a claim past 3**RESIDUE_EXPONENT is refused with a
     ValueError.  Each family's residues mod 3**RESIDUE_EXPONENT are then
     expanded once, to the widest ``stride*n_max + offset`` among its
-    claims, through :meth:`SeriesCache.fill` (a3 and a9 side by side in
-    worker processes when two CPUs are usable and each needs
+    claims, through :meth:`SeriesCache.fill` (a3 in a worker process while
+    a9 is expanded here, when two CPUs are usable and each needs
     ``POOL_MIN_ORDER`` coefficients), and the scans read them through
     :meth:`SeriesCache.spec`.  Failures are those of the exact
     coefficients, and so is ``min_valuation`` below RESIDUE_EXPONENT; a

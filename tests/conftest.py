@@ -1,3 +1,5 @@
+from multiprocessing.process import BaseProcess
+
 import pytest
 
 from qhuff import verify
@@ -22,3 +24,26 @@ def exact_report():
         return verify._scan(claim, n_max, cache.family(claim.family, top))
 
     return scan
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Two usable CPUs, whatever the host has; the worker processes started."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    started = []
+    start = BaseProcess.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", recording)
+    return started
+
+
+@pytest.fixture
+def no_workers(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(BaseProcess, "start", refuse)

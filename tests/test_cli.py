@@ -1,10 +1,16 @@
+import io
 import json
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhuff import cli, vectors
+from qhuff.eta import (MAX_NESTING, NonIntegerConstant, QuotientSyntaxError,
+                       parse)
 from qhuff.matrices import ZeroPatternViolation
 from qhuff.vectors import CoeffVector
 from qhuff.verify import ItemReport, SuiteReport
@@ -46,6 +52,39 @@ def test_expand_csv_to_file(capsys, tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "n,coefficient"
     assert "2,-1" in lines
+
+
+def test_expand_refused_past_the_work_budget(capsys):
+    # f1^40000 at order 4: 5 coefficients times 40000 steps, the budget
+    assert 5 * 40000 == cli.MAX_EXPAND_WORK
+    rc, out, _ = run(capsys, "expand", "f1^40000", "-N", "4")
+    assert rc == 0 and out.splitlines()[-1] == "  q^4: 106618670599930000"
+    for argv in (["f1^40001", "-N", "4"], ["f1^2147483647", "-N", "5"],
+                 ["1/q^99999999", "-N", "5"], ["f1", "-N", "200000"]):
+        rc, out, err = run(capsys, "expand", *argv)
+        assert rc == 2 and out == "" and "MAX_EXPAND_WORK" in err, argv
+
+
+# Every error cli.main maps to exit 2 that parsing can raise.
+PARSE_ERRORS = (QuotientSyntaxError, NonIntegerConstant, OverflowError,
+                ZeroDivisionError, ValueError)
+EXPRESSION_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789fq^*/()- \uff11\u00b2", max_size=40),
+    st.integers(0, 6 * MAX_NESTING).map(lambda n: "(" * n + "f1" + ")" * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSION_TEXT)
+def test_any_text_parses_or_exits_2(text):
+    try:
+        parse(text)
+    except PARSE_ERRORS:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(["expand", "-N", "5", "--", text])
+    assert rc in (0, 2), err.getvalue()
 
 
 def test_expand_bad_expression(capsys):

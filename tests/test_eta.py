@@ -1,6 +1,6 @@
 import pytest
 
-from qhuff.eta import (FAMILIES, MAX_EXPONENT, EtaQuotientSpec,
+from qhuff.eta import (FAMILIES, MAX_EXPONENT, MAX_NESTING, EtaQuotientSpec,
                        NonIntegerConstant, QuotientSyntaxError, expand_eta,
                        expand_spec, parse)
 from qhuff.series import Series
@@ -171,6 +171,27 @@ def test_parse_big_constant_allowed():
 def test_parse_zero_scale():
     with pytest.raises(QuotientSyntaxError):
         parse("f0")
+
+
+def test_parse_nesting_capped():
+    def nested(depth):
+        return "(" * depth + "f1" + ")" * depth
+
+    assert parse(nested(MAX_NESTING)) == parse("f1")
+    with pytest.raises(QuotientSyntaxError) as err:
+        parse(nested(MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
+    # deep enough to exhaust the interpreter's stack without the cap
+    with pytest.raises(QuotientSyntaxError):
+        parse(nested(600))
+
+
+@pytest.mark.parametrize("text", ["f\uff11", "f\u00b2", "\u0662*f1", "f1^\uff12", "q^\u00b3"])
+def test_parse_ascii_digits_only(text):
+    # fullwidth one, superscript two, Arabic-Indic two, fullwidth two,
+    # superscript three: str.isdigit takes them all, int only some
+    with pytest.raises(QuotientSyntaxError):
+        parse(text)
 
 
 # -- expansion of quotients -----------------------------------------------

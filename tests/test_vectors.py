@@ -1,7 +1,6 @@
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -117,43 +116,29 @@ def test_grouped_fold_on_edited_vectors():
 
 # -- split steps -----------------------------------------------------------
 
-_fold_worker = vectors._fold_worker
+_fold_rows = vectors._fold_rows
 
 
-def _raise_in_fold(*job):
-    raise ZeroDivisionError("fold in a worker")
+def _in_worker():
+    return multiprocessing.parent_process() is not None
 
 
-def _raise_in_worker(sender, job):
-    vectors._fold_rows = _raise_in_fold  # in the worker process only
-    _fold_worker(sender, job)
+def _raise_in_worker(*job):
+    if _in_worker():
+        raise ZeroDivisionError("fold in a worker")
+    return _fold_rows(*job)
 
 
-def _die_in_worker(sender, job):
-    os._exit(1)
+def _raise_here(*job):
+    if not _in_worker():
+        raise ZeroDivisionError("fold here")
+    return _fold_rows(*job)
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """Two usable CPUs, whatever the host has; the worker processes started."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    started = []
-    start = BaseProcess.start
-
-    def recording(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(BaseProcess, "start", recording)
-    return started
-
-
-@pytest.fixture
-def no_workers(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(BaseProcess, "start", refuse)
+def _die_in_worker(*job):
+    if _in_worker():
+        os._exit(1)
+    return _fold_rows(*job)
 
 
 def _partitions(s):
@@ -209,14 +194,22 @@ def test_split_skips_small_steps(monkeypatch, no_workers):
 
 
 def test_split_step_worker_error_reraises(workers, monkeypatch):
-    monkeypatch.setattr(vectors, "_fold_worker", _raise_in_worker)
+    monkeypatch.setattr(vectors, "_fold_rows", _raise_in_worker)
     with pytest.raises(ZeroDivisionError, match="in a worker"):
         _step_streaming(chain("X", 6)[6])
     assert len(workers) == 1 and multiprocessing.active_children() == []
 
 
+def test_split_step_caller_error_reraises(workers, monkeypatch):
+    # The top range raises here while the worker folds the lower one.
+    monkeypatch.setattr(vectors, "_fold_rows", _raise_here)
+    with pytest.raises(ZeroDivisionError, match="fold here"):
+        _step_streaming(chain("X", 6)[6])
+    assert len(workers) == 1 and multiprocessing.active_children() == []
+
+
 def test_split_step_dead_worker_exits_3(workers, monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(vectors, "_fold_worker", _die_in_worker)
+    monkeypatch.setattr(vectors, "_fold_rows", _die_in_worker)
     with pytest.raises(BrokenProcessPool, match="exited with code 1"):
         _step_streaming(chain("X", 6)[6])
     conf = tmp_path / "run.conf"

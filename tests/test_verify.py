@@ -1,7 +1,6 @@
-import concurrent.futures
+import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -178,36 +177,29 @@ def test_residue_widening_past_the_slot_guard_keeps_the_stored_series():
     assert cache.spec(key, 1800) == key.expand(1800)[0]
 
 
-class SpyPool(ProcessPoolExecutor):
-    """ProcessPoolExecutor that records the worker count of every pool made."""
-
-    made = []
-
-    def __init__(self, max_workers=None, *args, **kwargs):
-        SpyPool.made.append(max_workers)
-        super().__init__(max_workers, *args, **kwargs)
+_expand_group = verify._expand_group
 
 
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
+def _in_worker():
+    return multiprocessing.parent_process() is not None
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs and a recording pool, whatever the host has."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    SpyPool.made.clear()
-    return SpyPool.made
+def _raise_in_worker(items):
+    if _in_worker():
+        raise ZeroDivisionError("expansion in a worker")
+    return _expand_group(items)
 
 
-def _raise_in_worker(spec, order, prior):
-    raise ZeroDivisionError(f"{spec.render()} to {order}")
+def _raise_here(items):
+    if not _in_worker():
+        raise ZeroDivisionError("expansion here")
+    return _expand_group(items)
 
 
-def _die_in_worker(spec, order, prior):
-    os._exit(1)
+def _die_in_worker(items):
+    if _in_worker():
+        os._exit(1)
+    return _expand_group(items)
 
 
 POOLED = verify.POOL_MIN_ORDER
@@ -223,10 +215,10 @@ def timeless(report):
     return d
 
 
-def test_fill_matches_sequential(two_cpus):
+def test_fill_matches_sequential(workers):
     cache = SeriesCache()
     cache.fill({"a3": POOLED, "a9": POOLED})
-    assert two_cpus == [2]
+    assert len(workers) == 1  # a3 in a worker, a9 here
     for name in ("a3", "a9"):
         exact = expand_spec(FAMILIES[name].spec, POOLED)
         got = cache.spec(Reduced(FAMILIES[name].spec, M), POOLED)
@@ -236,56 +228,55 @@ def test_fill_matches_sequential(two_cpus):
         # Exact lookups never see the residues.
         assert cache.family(name, POOLED - 1) == exact.truncate(POOLED - 1)
     cache.fill({"a3": POOLED - 1000, "a9": POOLED})
-    assert two_cpus == [2]
+    assert len(workers) == 1  # the narrower refill starts none
 
 
-def test_pooled_fill_then_widen_resumes_residues(two_cpus, monkeypatch):
-    # The second fill resumes in the workers from the state the first one
-    # sent back; the widening after it resumes here from the second's.
+def test_pooled_fill_then_widen_resumes_residues(workers, monkeypatch):
+    # The second fill resumes, in the worker and here, from the states the
+    # first one kept; the widening after it resumes here from the second's.
     monkeypatch.setattr(verify, "POOL_MIN_ORDER", WIDENINGS[0])
     cache = SeriesCache()
     cache.fill(dict.fromkeys(FAMILIES, WIDENINGS[0]))
+    assert len(workers) == 1  # five families on two CPUs: one worker
     cache.fill(dict.fromkeys(FAMILIES, WIDENINGS[1]))
-    assert two_cpus == [2, 2]
+    assert len(workers) == 2
     for family in FAMILIES:
         _check_widenings(cache, family, M, WIDENINGS[1:])
     assert cache.stats["discarded_coeffs"] == 0
 
 
-def test_fill_suite_matches_sequential(two_cpus, monkeypatch):
+def test_fill_suite_matches_sequential(workers, monkeypatch):
     pooled = theorem_suite(POOLED + 200, cache=SeriesCache())
-    assert two_cpus == [2]
+    assert len(workers) == 1
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     alone = theorem_suite(POOLED + 200, cache=SeriesCache())
-    assert two_cpus == [2]
+    assert len(workers) == 1
     assert pooled.passed and isinstance(pooled.expand_ms, int)
     assert isinstance(pooled.scan_ms, int)
     assert timeless(pooled) == timeless(alone)
 
 
-def test_fill_one_cpu_runs_in_process(monkeypatch):
+def test_fill_one_cpu_runs_in_process(monkeypatch, no_workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     cache = SeriesCache()
     cache.fill({"a3": POOLED, "a9": POOLED})
     assert cache.spec(Reduced(FAMILIES["a9"].spec, M), POOLED).valid_to == POOLED
 
 
-def test_fill_small_orders_run_in_process(monkeypatch):
+def test_fill_small_orders_run_in_process(monkeypatch, no_workers):
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     SeriesCache().fill({"a3": verify.POOL_MIN_ORDER - 1,
                         "a9": verify.POOL_MIN_ORDER})
 
 
-def test_fill_reach_checked_before_expansion(two_cpus):
+def test_fill_reach_checked_before_expansion(workers):
     class NoFill(SeriesCache):
         def fill(self, orders):
             raise AssertionError("expansion started before the reach checks")
 
     with pytest.raises(BeyondValidity):
         theorem_suite(100, cache=NoFill())
-    assert two_cpus == []
+    assert workers == []
 
 
 def test_fill_honours_n_max():
@@ -301,15 +292,24 @@ def test_fill_honours_n_max():
     assert seen == [{"a3": 729 * 3 + 668, "a9": 81 * 5 + 80}]
 
 
-def test_fill_worker_error_reraises(two_cpus, monkeypatch):
-    monkeypatch.setattr(verify, "_expand", _raise_in_worker)
-    with pytest.raises(ZeroDivisionError):
+def test_fill_worker_error_reraises(workers, monkeypatch):
+    monkeypatch.setattr(verify, "_expand_group", _raise_in_worker)
+    with pytest.raises(ZeroDivisionError, match="in a worker"):
         SeriesCache().fill({"a3": POOLED, "a9": POOLED})
+    assert len(workers) == 1 and multiprocessing.active_children() == []
 
 
-def test_fill_dead_worker_exits_3(two_cpus, monkeypatch, capsys):
-    monkeypatch.setattr(verify, "_expand", _die_in_worker)
-    with pytest.raises(BrokenProcessPool):
+def test_fill_caller_error_reraises(workers, monkeypatch):
+    # The last family raises here while the worker expands the first.
+    monkeypatch.setattr(verify, "_expand_group", _raise_here)
+    with pytest.raises(ZeroDivisionError, match="expansion here"):
+        SeriesCache().fill({"a3": POOLED, "a9": POOLED})
+    assert len(workers) == 1 and multiprocessing.active_children() == []
+
+
+def test_fill_dead_worker_exits_3(workers, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_expand_group", _die_in_worker)
+    with pytest.raises(BrokenProcessPool, match="exited with code 1"):
         SeriesCache().fill({"a3": POOLED, "a9": POOLED})
     assert cli.main(["verify", "theorems", "-N", str(POOLED + 200)]) == 3
     assert "BrokenProcessPool" in capsys.readouterr().err
@@ -355,7 +355,7 @@ def test_residue_scan_of_zeros_reads_at_least_k():
     assert type(report.claims[1].min_valuation) is int
 
 
-def test_residue_exponent_above_k_refused(two_cpus):
+def test_residue_exponent_above_k_refused(workers):
     class NoFill(SeriesCache):
         def fill(self, orders):
             raise AssertionError("expansion started before the exponent checks")
@@ -364,7 +364,7 @@ def test_residue_exponent_above_k_refused(two_cpus):
         theorem_suite(10 ** 6, alpha_t1=RESIDUE_EXPONENT - 1, cache=NoFill())
     with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
         theorem_suite(10 ** 6, alpha_t2=RESIDUE_EXPONENT, cache=NoFill())
-    assert two_cpus == []
+    assert workers == []
 
 
 @pytest.mark.parametrize("base", [3, 5, 7])
