@@ -142,12 +142,12 @@ def _any_int_length():
 def cmd_expand(args, config):
     spec = parse(args.expression)
     order = config.order
+    coeffs = order - spec.qshift + 1
     steps = max(1, sum(abs(e) for e in spec.factors.values()))
-    work = (order - spec.qshift + 1) * steps
-    if work > MAX_EXPAND_WORK:
+    if coeffs * steps > MAX_EXPAND_WORK:
         raise ValueError(
             f"expanding {spec.render()} to order {order} takes {steps} step(s) over "
-            f"{order - spec.qshift + 1} coefficients, past the expand budget "
+            f"{coeffs} coefficients, past the expand budget "
             f"MAX_EXPAND_WORK = {MAX_EXPAND_WORK}")
     series = expand_spec(spec, order)
     lo = min(series.lead, 0) if not series.is_zero else 0

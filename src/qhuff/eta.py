@@ -14,8 +14,9 @@ from .series import Series
 
 # Bound on exponent and scale literals; constants stay arbitrary precision.
 MAX_EXPONENT = 2 ** 31 - 1
-# Deepest parenthesis nesting the parser accepts; each level takes two
-# stack frames, so about 500 levels used to end in a RecursionError.
+# Deepest parenthesis nesting the parser accepts: each level takes two
+# stack frames, and the interpreter's default limit of 1000 frames is
+# reached near 500 levels.
 MAX_NESTING = 100
 
 
