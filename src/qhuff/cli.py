@@ -144,15 +144,15 @@ def cmd_expand(args, config):
     order = config.order
     coeffs = order - spec.qshift + 1
     steps = max(1, sum(abs(e) for e in spec.factors.values()))
-    if coeffs * steps > MAX_EXPAND_WORK:
-        raise ValueError(
-            f"expanding {spec.render()} to order {order} takes {steps} step(s) over "
-            f"{coeffs} coefficients, past the expand budget "
-            f"MAX_EXPAND_WORK = {MAX_EXPAND_WORK}")
-    series = expand_spec(spec, order)
-    lo = min(series.lead, 0) if not series.is_zero else 0
-    pairs = [(n, series.coefficient(n)) for n in range(lo, order + 1)]
-    with _any_int_length():
+    with _any_int_length():  # the constant may be a product of long literals
+        if coeffs * steps > MAX_EXPAND_WORK:
+            raise ValueError(
+                f"expanding {spec.render()} to order {order} takes {steps} step(s) "
+                f"over {coeffs} coefficients, past the expand budget "
+                f"MAX_EXPAND_WORK = {MAX_EXPAND_WORK}")
+        series = expand_spec(spec, order)
+        lo = min(series.lead, 0) if not series.is_zero else 0
+        pairs = [(n, series.coefficient(n)) for n in range(lo, order + 1)]
         if config.format == "json":
             payload = {"expression": spec.render(), "order": order,
                        "coefficients": [[n, str(c)] for n, c in pairs]}

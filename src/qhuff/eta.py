@@ -14,6 +14,10 @@ from .series import Series
 
 # Bound on exponent and scale literals; constants stay arbitrary precision.
 MAX_EXPONENT = 2 ** 31 - 1
+# Longest integer literal the parser reads: ``int()`` of a string this
+# long is never refused, whatever ``sys.set_int_max_str_digits`` allows
+# (CPython's default limit is 4300 digits, its lowest setting 640).
+MAX_DIGITS = 640
 # Deepest parenthesis nesting the parser accepts: each level takes two
 # stack frames, and the interpreter's default limit of 1000 frames is
 # reached near 500 levels.
@@ -142,6 +146,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise QuotientSyntaxError(start, (what,))
+        if self.pos - start > MAX_DIGITS:
+            raise OverflowError(
+                f"literal of {self.pos - start} digits at position {start} "
+                f"exceeds the digit bound MAX_DIGITS = {MAX_DIGITS}")
         value = int(self.text[start:self.pos])
         if bounded and value > MAX_EXPONENT:
             raise OverflowError(
@@ -233,27 +241,13 @@ def parse(text):
 def expand_spec(spec, order):
     """Expand an eta quotient into a series valid through ``order``.
 
-    Positive factors multiply in first while everything is sparse; each
-    negative factor then divides out via its pentagonal recurrence, which
-    is the fast route for the f_k^-1 shapes used here.
+    ``residues.expand_exact`` does the work: the positive factors multiply
+    in while everything is sparse, then the negative ones divide out, with
+    each f_k^3 one sparse Jacobi factor.
     """
-    if order < spec.qshift:
-        raise ValueError(f"order {order} is below the q-shift {spec.qshift}")
-    if spec.constant == 0:
-        return Series.zero()
-    inner = order - spec.qshift
-    acc = Series(0, (spec.constant,), inner)
-    for k, e in spec.factors.items():
-        if e > 0:
-            factor = expand_eta(k, inner)
-            for _ in range(e):
-                acc = acc * factor
-    for k, e in spec.factors.items():
-        if e < 0:
-            factor = expand_eta(k, inner)
-            for _ in range(-e):
-                acc = acc.div(factor)
-    return acc.shift(spec.qshift)
+    from .residues import expand_exact
+
+    return expand_exact(spec, order, keep=False)[0]
 
 
 @dataclass

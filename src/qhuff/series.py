@@ -32,9 +32,17 @@ def _nonzeros(coeffs):
     return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
-def _recip_core(num, den, length):
-    """Coefficients of num/den mod q^length; den[0] must be +1 or -1."""
-    if length <= 0:
+def _recip_core(num, den, length, out=None):
+    """Coefficients of num/den mod q^length; den[0] must be +1 or -1.
+
+    A division resumes where an earlier call stopped: ``out`` may hold its
+    outputs 0..start-1, and is extended in place to all ``length`` outputs.
+    Then ``num`` holds the numerator from q^start on, and only outputs
+    start..length-1 are computed and returned.
+    """
+    out = [] if out is None else out
+    start = len(out)
+    if length <= start:
         return []
     if den[0] == -1:
         den = [-c for c in den]
@@ -52,19 +60,19 @@ def _recip_core(num, den, length):
         near_pos = [e for e, c in near if c == 1]
         near_neg = [e for e, c in near if c == -1]
 
-    out = [0] * length
-    nl = len(num)
-    for start in range(0, length, _BLOCK):
-        hi = min(start + _BLOCK, length)
-        acc = [num[n] if n < nl else 0 for n in range(start, hi)]
+    out += [0] * (length - start)
+    nl = len(num) + start
+    for lo in range(start, length, _BLOCK):
+        hi = min(lo + _BLOCK, length)
+        acc = [num[n - start] if n < nl else 0 for n in range(lo, hi)]
         for e, c in far:
             if e >= hi:
                 break
-            n0 = max(start, e)
+            n0 = max(lo, e)
             src = out[n0 - e: hi - e]
             if not src:
                 continue
-            o = n0 - start
+            o = n0 - lo
             win = acc[o: o + len(src)]
             if c == 1:
                 acc[o: o + len(src)] = [x - y for x, y in zip(win, src)]
@@ -73,8 +81,8 @@ def _recip_core(num, den, length):
             else:
                 acc[o: o + len(src)] = [x - c * y for x, y in zip(win, src)]
         if unit_signs:
-            for n in range(start, hi):
-                t = acc[n - start]
+            for n in range(lo, hi):
+                t = acc[n - lo]
                 for e in near_pos:
                     m = n - e
                     if m < 0:
@@ -87,15 +95,15 @@ def _recip_core(num, den, length):
                     t += out[m]
                 out[n] = t
         else:
-            for n in range(start, hi):
-                t = acc[n - start]
+            for n in range(lo, hi):
+                t = acc[n - lo]
                 for e, c in near:
                     m = n - e
                     if m < 0:
                         break
                     t -= c * out[m]
                 out[n] = t
-    return out
+    return out[start:]
 
 
 class Series:

@@ -19,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .eta import FAMILIES, EtaQuotientSpec, expand_spec, parse
+from .eta import FAMILIES, EtaQuotientSpec, parse
 from .huffing import extract_progression
 from .padic import valuation
 from .series import BeyondValidity, INF, Series
@@ -202,14 +202,16 @@ class ClaimReport:
 
 
 def _expand(spec, order, prior=None):
-    """``spec`` expanded to ``order``, and its state.
+    """``spec`` expanded to ``order``, and its division state.
 
-    An exact spec has no state (None).  A ``residues.Reduced`` spec is
-    expanded modulo its modulus, resuming from the ``prior`` (series,
-    state) it returned at a lower order, if given.
+    An exact spec goes through ``residues.expand_exact``, a
+    ``residues.Reduced`` one modulo its modulus; either resumes from the
+    ``prior`` (series, state) it returned at a lower order, if given.
     """
     if isinstance(spec, EtaQuotientSpec):
-        return expand_spec(spec, order), None
+        from .residues import expand_exact
+
+        return expand_exact(spec, order, prior)
     return spec.expand(order, prior)
 
 
@@ -297,13 +299,14 @@ class SeriesCache:
 
     Family series are stored under the family name, others under the
     rendered spec; a ``residues.Reduced`` spec renders to a key that no
-    exact spec does.  Beside each Reduced series the cache keeps its
-    division state, so widening it resumes the divisions and computes only
-    the missing coefficients; an exact series is expanded again from q^0.
-    ``stats`` counts lookups: ``hits`` (the stored series reached far
-    enough), ``widenings`` (it was replaced by a wider one) and ``misses``
-    (nothing was stored), and ``discarded_coeffs`` the stored coefficients
-    that widenings computed again, those of exact series.
+    exact spec does.  Beside each series the cache keeps its division
+    state, so widening it resumes the divisions and computes only the
+    missing coefficients; a spec with no division (no negative factor) has
+    no state and is expanded again from q^0.  ``stats`` counts lookups:
+    ``hits`` (the stored series reached far enough), ``widenings`` (it was
+    replaced by a wider one) and ``misses`` (nothing was stored), and
+    ``discarded_coeffs`` the stored coefficients that widenings computed
+    again, those of series without a state.
     """
 
     def __init__(self):
@@ -359,8 +362,7 @@ class SeriesCache:
         """Store an expansion's series and state under ``key``; returns the series."""
         series, state = expanded
         self._store[key] = series
-        if state is not None:
-            self._states[key] = state
+        self._states[key] = state
         return series
 
     def _stored(self, key, valid_to):
@@ -373,7 +375,7 @@ class SeriesCache:
             self.stats["misses"] += 1
         elif cur.valid_to < valid_to:
             self.stats["widenings"] += 1
-            if key not in self._states and not cur.is_zero:
+            if self._states[key] is None and not cur.is_zero:
                 self.stats["discarded_coeffs"] += int(cur.valid_to) - cur.lead + 1
         else:
             self.stats["hits"] += 1

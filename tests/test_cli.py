@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhuff import cli, vectors
-from qhuff.eta import (MAX_NESTING, NonIntegerConstant, QuotientSyntaxError,
-                       parse)
+from qhuff.eta import (MAX_DIGITS, MAX_NESTING, NonIntegerConstant,
+                       QuotientSyntaxError, parse)
 from qhuff.matrices import ZeroPatternViolation
 from qhuff.vectors import CoeffVector
 from qhuff.verify import ItemReport, SuiteReport
@@ -88,11 +88,27 @@ def test_any_text_parses_or_exits_2(text):
 
 
 def test_expand_bad_expression(capsys):
-    # a literal over CPython's 4300-digit str() limit stays refused
     for expression in ("f1^^2", "1" + "0" * 5000):
         rc, _, err = run(capsys, "expand", expression)
         assert rc == 2
         assert err.startswith("error:")
+
+
+def test_expand_long_literal_names_the_digit_bound(capsys):
+    # Refused before int() sees it, so CPython's own digit-limit advice
+    # never reaches the user.
+    rc, out, err = run(capsys, "expand", "9" * 5000 + "*f1", "-N", "3")
+    assert rc == 2 and out == ""
+    assert f"MAX_DIGITS = {MAX_DIGITS}" in err and "set_int_max_str_digits" not in err
+    # A constant past 4300 digits built from shorter literals still prints,
+    # and still names the work budget when refused.
+    big = "*".join(["9" * MAX_DIGITS] * 8)  # (10^640 - 1)^8: 5120 digits
+    rc, out, _ = run(capsys, "expand", big, "-N", "1")
+    head, last = out.splitlines()[-2:]
+    assert rc == 0 and last == "  q^1: 0"
+    assert head.startswith("  q^0: 9") and len(head) == 7 + 5120
+    rc, out, err = run(capsys, "expand", big + "*f1^100000", "-N", "5")
+    assert rc == 2 and out == "" and "MAX_EXPAND_WORK" in err
 
 
 def test_usage_errors(capsys):

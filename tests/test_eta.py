@@ -1,6 +1,6 @@
 import pytest
 
-from qhuff.eta import (FAMILIES, MAX_EXPONENT, MAX_NESTING, EtaQuotientSpec,
+from qhuff.eta import (FAMILIES, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, EtaQuotientSpec,
                        NonIntegerConstant, QuotientSyntaxError, expand_eta,
                        expand_spec, parse)
 from qhuff.series import Series
@@ -166,6 +166,15 @@ def test_parse_exponent_literal_overflow():
 
 def test_parse_big_constant_allowed():
     assert parse(str(10 ** 60)).constant == 10 ** 60
+    assert parse("9" * MAX_DIGITS).constant == 10 ** MAX_DIGITS - 1
+
+
+def test_parse_long_literal_refused_before_conversion():
+    with pytest.raises(OverflowError, match=f"MAX_DIGITS = {MAX_DIGITS}") as err:
+        parse("f1*" + "7" * (MAX_DIGITS + 1))
+    assert "position 3" in str(err.value)
+    with pytest.raises(OverflowError, match="digit bound"):
+        parse("f1^" + "0" * 5000 + "1")
 
 
 def test_parse_zero_scale():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhuff
+from qhuff import residues
 from qhuff.eta import expand_eta, expand_spec, parse
-from qhuff.residues import div_residues, expand_spec_residues
-from qhuff.series import _recip_core
-from qhuff.verify import CLAIM_MODULUS
+from qhuff.residues import (Reduced, div_residues, expand_exact, expand_spec_residues,
+                            jacobi_cube, pack_stage, unpack_stage)
+from qhuff.series import Series, _recip_core
+from qhuff.verify import CLAIM_MODULUS, SeriesCache
 
 M32 = 3 ** 32
 
@@ -114,3 +117,111 @@ def test_import_qhuff_leaves_residues_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# -- the exact route ------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_jacobi_cube_is_f_k_cubed(k):
+    f = expand_eta(k, 600)
+    assert jacobi_cube(k, 600) == f * f * f
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [0, 0, 0], [127, -127], [-1, 1, -128, 128, -129, 255, -256],
+    [2 ** 63, -2 ** 63, 2 ** 64 - 1, 0],
+    [-(10 ** 4400) - 3, 10 ** 4400 + 7, 0, -5, 1],
+])
+def test_stage_packing_round_trips(values):
+    width, data = pack_stage(values)
+    assert width == max(map(int.bit_length, values), default=0) // 8 + 1
+    assert len(data) == width * len(values)
+    assert unpack_stage((width, data)) == values
+
+
+# A constant alone, positive and negative q-shifts, no denominator, a
+# divisor past the first order (f600, left out at 40), and a power that
+# squaring takes at order 4 and sparse steps would take at 40.
+EXACT_SPECS = ("3", "7*q^3*f5^2/(f1^3*f7)", "f2/(q^2*f1)", "f1^2*f4^5",
+               "q^-4*f2^7/(f1^4*f3^3)", "f1^4/(f2*f600^2)", "f1/f2^60")
+
+
+@pytest.mark.parametrize("text", EXACT_SPECS)
+def test_exact_widenings_match_cold_expansions(text):
+    spec = parse(text)
+    cache = SeriesCache()
+    for order in (4, 40, 600, 1100):  # across the 512-coefficient block edge
+        assert cache.spec(spec, order) == expand_spec(spec, order), order
+    # Only a spec with no division expands again, from q^0.
+    recomputed = 0 if spec.factors and min(spec.factors.values()) < 0 else 5 + 41 + 601
+    assert cache.stats == {"hits": 0, "widenings": 3, "misses": 1,
+                           "discarded_coeffs": recomputed}
+
+
+def test_exact_widenings_of_the_request_quotients(monkeypatch):
+    # Every quotient the benchmark's request stream expands, through its tiers.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import EXPAND_ORDERS, build_catalog
+
+    texts = sorted({r[1] for r in build_catalog().values() if r[0] == "expand"})
+    assert len(texts) == 24
+    cache = SeriesCache()
+    for text in texts:
+        spec = parse(text)
+        for order in EXPAND_ORDERS:
+            assert cache.spec(spec, order) == expand_spec(spec, order), (text, order)
+    assert cache.stats["discarded_coeffs"] == 0
+
+
+def test_exact_widening_divides_only_new_coefficients(monkeypatch):
+    counted = []
+
+    def divide(num, den, length, out):
+        new = _recip_core(num, den, length, out)
+        counted.append((len(out) - len(new), len(new)))
+        return new
+
+    monkeypatch.setattr(residues._Exact, "divide", staticmethod(divide))
+    spec = parse("f2^4/(q*f1^5*f3)")  # a Jacobi cube, f1 twice and f3: 4 divisions
+    cache = SeriesCache()
+    cache.spec(spec, 600)  # q^-1 through q^600: 602 coefficients
+    assert counted == [(0, 602)] * 4
+    counted.clear()
+    cache.spec(spec, 1100)
+    assert counted == [(602, 500)] * 4
+    assert cache.stats["discarded_coeffs"] == 0
+
+
+def test_widening_leaves_the_prior_as_it_was():
+    spec = parse("f3*f6^2/(f1^4*f2)")
+    for expand in (lambda order, prior=None: expand_exact(spec, order, prior),
+                   Reduced(spec, CLAIM_MODULUS).expand):
+        prior = expand(600)
+        first = expand(1100, prior)
+        assert prior == expand(600)
+        assert expand(1100, prior) == first == expand(1100)
+
+
+def test_large_exponents_cost_logarithmic_work():
+    # f1^e through q^2 is 1 - e q + e(e-3)/2 q^2, and 1/f1^e 1 + e q + e(e+3)/2 q^2.
+    e = 2 ** 31 - 1
+    started = time.perf_counter()
+    up = expand_spec(parse(f"f1^{e}"), 5)
+    down = expand_spec(parse(f"1/f1^{e}"), 5)
+    assert time.perf_counter() - started < 1
+    assert up.coefficients(0, 2) == [1, -e, e * (e - 3) // 2]
+    assert down.coefficients(0, 2) == [1, e, e * (e + 3) // 2]
+    assert expand_spec(parse(f"f{e}^{e}*f1"), 5) == expand_spec(parse("f1"), 5)
+    # Squaring and sparse steps agree where the plan switches between them.
+    f1 = expand_eta(1, 30)
+    steps = Series.one()
+    for _ in range(60):
+        steps = steps * f1
+    assert residues._powered(1, 60, 30) and not residues._powered(1, 60, 40)
+    assert expand_spec(parse("f1^60"), 30) == steps.truncate(30)
+    inverse = expand_spec(parse("1/f1^60"), 30)
+    assert inverse == Series.one().truncate(30).div(steps)
+    # The residue route reduces that exact series and keeps no state.
+    got, state = expand_spec_residues(parse("1/f1^60"), 30, M32)
+    assert state is None
+    assert got.coefficients(0, 30) == [c % M32 for c in inverse.coefficients(0, 30)]

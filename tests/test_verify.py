@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from qhuff import cli, verify
-from qhuff.eta import FAMILIES, expand_spec
+from qhuff.eta import FAMILIES, expand_spec, parse
 from qhuff.padic import valuation
 from qhuff.residues import Reduced
 from qhuff.series import INF, BeyondValidity, Series
@@ -105,8 +105,6 @@ def test_claim_report_serialization():
 
 
 def test_series_cache_reuses_widest():
-    from qhuff.eta import parse
-
     cache = SeriesCache()
     wide = cache.family("p", 80)
     assert cache.family("p", 40) is wide
@@ -118,10 +116,16 @@ def test_series_cache_reuses_widest():
 
 
 def test_series_cache_counts_its_lookups():
+    # An exact widening resumes p's division and recomputes nothing; a spec
+    # with no division is expanded again.
     cache = SeriesCache()
     for order in (20, 10, 40, 40):
         cache.family("p", order)
     assert cache.stats == {"hits": 2, "widenings": 1, "misses": 1,
+                           "discarded_coeffs": 0}
+    cache.spec(parse("f1^2*f3"), 20)
+    cache.spec(parse("f1^2*f3"), 40)
+    assert cache.stats == {"hits": 2, "widenings": 2, "misses": 2,
                            "discarded_coeffs": 21}
     # Reduced keys count the same way, through fill and through spec, but a
     # widening resumes the stored divisions and recomputes nothing.
