@@ -64,12 +64,23 @@ _SCALED_BASE = ((1,), (2, 1), (1, 3, 1))
 def iter_scaled_rows(limit):
     """Yield (i, row) with entry j divided by 3^scaled_floor(i, j).
 
-    Dividing out the forced power of three collapses the 9/3/1 mix into a
-    plain sum wherever the floor sits at least two above its parents, so
-    deep rows cost additions of numbers that grow by under a bit per row
-    instead of two base-3 digits per row.  Left of the floor boundary the
-    original recurrence applies verbatim; the single column where the
-    floor equals one needs a mixed weight.
+    The table recurrence is m(i, j) = 9 m(i-1, j-1) + 3 m(i-2, j-1) +
+    m(i-3, j-1).  With e = 3j - i - 1 those three parents have e - 2,
+    e - 1 and e.  Write each entry as 3^max(e, 0) times a unit, u for
+    (i, j) and u1, u2, u3 for its parents:
+
+    - right of the floor boundary (e >= 2), 9·3^(f-2) = 3·3^(f-1) = 3^f
+      with f = e, so u = u1 + u2 + u3;
+    - in the one mixed column of a row (e = 1, where i = 1 mod 3) the
+      floor is 1 and u = 3 u1 + u2 + u3;
+    - left of it every floor is 0 and the recurrence applies verbatim.
+
+    Each row is therefore integers made from integers, and rescaled it is
+    exactly the table recurrence; with the base rows (3), (2, 27),
+    (1, 27, 243) scaled the same way, 3^scaled_floor(i, j) divides m(i, j)
+    for every row, which is what makes the floors proved and not observed.
+    Deep rows cost additions of numbers that grow by under a bit per row
+    instead of two base-3 digits per row.
     """
     if limit < 1:
         return

@@ -12,8 +12,20 @@ hundred rows the materialised table gets expensive (entries near the
 diagonal hold thousands of base-3 digits), so deep steps stream the rows,
 keeping only the three live ones while folding the product on the fly.
 The fold sums ``_GROUP`` rows at a time, each unit scaled only to its
-group's lowest 3-power (tens of bits); the rest of the power, thousands of
-bits deep in a chain, is applied once per column per group, not per row.
+group's lowest 3-power (tens of bits).  Runs of ``_GROUP`` groups are
+summed at the run's lowest 3-power, and the rest of the power, thousands
+of bits deep in a chain, is applied once per column per run, not per row
+or per group.
+
+A streamed step and :func:`check_valuations` both need the exact 3-adic
+valuation of every entry of a vector.  Along a chain vector these run
+near 4j against floors near 3j (Y at alpha 7: from 7 to 2178 above the
+floor), and each is close to its neighbour's, so :func:`_valuations`
+divides entry j first by 3^max(floor_j, nu_(j-1) - 2) and leaves
+:func:`~qhuff.padic.valuation` only the quotient, about the size of the
+entry's unit.  On X to alpha 8 and Y to alpha 7 that first division is
+exact for 5739 of the 5745 nonzero entries; the other six fall back to
+their own valuations, so a miss costs time, never a wrong valuation.
 
 Every view row adds into the next vector on its own, so a step of more
 than ``_STREAM_THRESHOLD`` rows is split, with two or more usable CPUs,
@@ -37,7 +49,7 @@ from .matrices import (InsufficientRows, MatrixTable, _VIEW_COL_START,
                        _VIEW_KAPPA, _VIEW_SOURCE_ROW, _view_rows_through,
                        iter_scaled_rows, submatrix, view_width)
 from .padic import valuation
-from .series import Series
+from .series import INF, Series
 
 _FAMILIES = ("X", "Y")
 
@@ -143,7 +155,7 @@ def _step_streaming(v):
     if s == 0:
         return CoeffVector(v.family, v.alpha + 1, ())
     kappa = _VIEW_KAPPA[kind]
-    nus = [valuation(c) if c else None for c in v.entries]
+    nus = _valuations(v.entries, [0] * s)
     live = [nu - t - kappa for t, nu in enumerate(nus, start=1) if nu is not None]
     if not live:
         return CoeffVector(v.family, v.alpha + 1, ())
@@ -177,8 +189,9 @@ def _fold_rows(kind, first, entries, nus, base):
     ``base`` the step's G.  Rows are generated from the first up to the
     range's top.  Each unit is scaled only to the lowest exponent of its
     group of ``_GROUP`` rows, keeping the products narrow; each group's sum
-    is lifted to G once per column.  ``first`` is a group edge, so the
-    groups are those of the whole step.
+    is added into its run of ``_GROUP`` groups at the run's lowest
+    exponent, and each run's sum is lifted to G once per column.  ``first``
+    is a group edge, so the groups are those of the whole step.
     """
     kappa = _VIEW_KAPPA[kind]
     source_row = _VIEW_SOURCE_ROW[kind]
@@ -190,15 +203,32 @@ def _fold_rows(kind, first, entries, nus, base):
           for t, nu in enumerate(nus, start=first + 1)]
     group_base = [min((g for g in gs[k:k + _GROUP] if g is not None), default=base)
                   for k in range(0, len(gs), _GROUP)]
+    run_base = [min(group_base[k:k + _GROUP])
+                for k in range(0, len(group_base), _GROUP)]
 
     width_out = view_width(kind, top)
     scaled = [0] * width_out
     direct = [0] * width_out
-    group, acc = 0, []
+    group, acc, run = 0, [], []
 
     def spill():
-        power = 3 ** (group_base[group] - base)
-        scaled[:len(acc)] = [x + power * y for x, y in zip(scaled, acc)]
+        """Add the group's sum into its run's at the run's lowest exponent.
+
+        In place, as is the lift: sums built as new lists beside the old
+        ones kept more memory (``chains`` peak RSS +2.4% on the parent's,
+        against +1.8% in place).
+        """
+        power = 3 ** (group_base[group] - run_base[group // _GROUP])
+        run.extend([0] * (len(acc) - len(run)))
+        for j, y in enumerate(acc):
+            run[j] += power * y
+
+    def lift():
+        """Add the run's sum into ``scaled``, lifted to G, emptying the run."""
+        power = 3 ** (run_base[group // _GROUP] - base)
+        for j, y in enumerate(run):
+            scaled[j] += power * y
+        run.clear()
 
     for i, row in iter_scaled_rows(source_row(top)):
         t = _view_rows_through(kind, i)
@@ -210,6 +240,8 @@ def _fold_rows(kind, first, entries, nus, base):
             continue
         if k // _GROUP != group:
             spill()
+            if k // _GROUP // _GROUP != group // _GROUP:
+                lift()
             group, acc = k // _GROUP, []
         unit = (coeff // 3 ** nus[k]) * 3 ** (gs[k] - group_base[group])
         lo = col_start(t) - 1
@@ -224,6 +256,7 @@ def _fold_rows(kind, first, entries, nus, base):
         win = acc[clamped:width]
         acc[clamped:width] = [x + unit * u for x, u in zip(win, src)]
     spill()
+    lift()
     return direct, scaled
 
 
@@ -399,22 +432,48 @@ class ValuationCheck:
     tight: bool
 
 
+def _valuations(entries, floors):
+    """Exact 3-adic valuation of each entry, None for a zero.
+
+    Entry j is divided first by 3^g, g = max(floor_j, nu - 2) with nu the
+    last nonzero entry's valuation, the powers built up along the vector,
+    and :func:`valuation` finds the quotient's.  A remainder falls back to
+    the entry's own valuation, so the floors (a negative one counts as 0)
+    and the guesses change the cost, never a result.
+    """
+    out = []
+    exponent, power, prev = 0, 1, None
+    for entry, floor in zip(entries, floors):
+        if not entry:
+            out.append(None)
+            continue
+        floor = max(floor, 0)
+        guess = floor if prev is None else max(floor, prev - 2)
+        if guess > exponent:
+            power *= 3 ** (guess - exponent)
+        elif guess < exponent:
+            power //= 3 ** (exponent - guess)
+        exponent = guess
+        q, r = divmod(entry, power)
+        prev = guess + valuation(q) if not r else valuation(entry)
+        out.append(prev)
+    return out
+
+
 def check_valuations(v):
     """Exact 3-adic valuation of every entry against its proven floor.
 
-    Each entry is divided once by 3^floor (the powers built up along j);
-    when that leaves no remainder only the quotient's valuation is left to
-    find, a few floor digits shorter.  An entry below its floor falls back
-    to its own valuation.
+    The valuations come from :func:`_valuations`, which starts each entry
+    from the larger of its floor and its neighbour's valuation less two,
+    so most entries cost one division and the valuation of a quotient the
+    size of the entry's unit.  An entry below its floor gets its own
+    valuation, reported with ``passed`` False.
     """
+    bounds = [valuation_floor(v.family, v.alpha, j)
+              for j in range(1, v.support + 1)]
     out = []
-    exponent, power = 0, 1
-    for j, entry in enumerate(v.entries, start=1):
-        bound = valuation_floor(v.family, v.alpha, j)
-        if bound > exponent:
-            power *= 3 ** (bound - exponent)
-            exponent = bound
-        q, r = divmod(entry, power)
-        nu = exponent + valuation(q, 3) if not r else valuation(entry, 3)
+    for j, (nu, bound) in enumerate(zip(_valuations(v.entries, bounds), bounds),
+                                    start=1):
+        nu = INF if nu is None else nu
         out.append(ValuationCheck(j, nu, bound, nu >= bound, nu == bound))
     return out

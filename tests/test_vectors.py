@@ -3,6 +3,8 @@ import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qhuff import cli, vectors, verify
 from qhuff.eta import FAMILIES, expand_spec
@@ -111,6 +113,22 @@ def test_grouped_fold_on_edited_vectors():
     uneven[_GROUP] *= 3 ** 200
     for edited in (hole, single, uneven):
         w = CoeffVector("X", 6, edited)
+        assert _step_streaming(w) == step(w, table)
+
+
+@pytest.mark.parametrize("family,alpha", [("X", 6), ("Y", 5)])
+def test_two_level_fold_matches_table(family, alpha, monkeypatch, no_workers):
+    # groups of 3 rows in runs of 3 groups: many runs, some of them empty
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(vectors, "_GROUP", 3)
+    v = chain(family, alpha)[alpha]
+    table = MatrixTable(required_depth(v))
+    hole = list(v.entries)
+    hole[20:50] = [0] * 30
+    uneven = list(v.entries)
+    uneven[9] *= 3 ** 200  # a deep entry at a run's start
+    for entries in (v.entries, hole, uneven):
+        w = CoeffVector(family, alpha, entries)
         assert _step_streaming(w) == step(w, table)
 
 
@@ -283,6 +301,35 @@ def _per_entry_checks(v):
 def test_check_valuations_matches_per_entry(family, alpha):
     for v in chain(family, alpha):
         assert check_valuations(v) == _per_entry_checks(v)
+
+
+@st.composite
+def _entries_and_floors(draw):
+    """Entries ±u·3^nu (a quarter of them zero) and floors near each nu."""
+    entries, floors = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        nu = draw(st.integers(min_value=0, max_value=2200))
+        unit = 3 * draw(st.integers(min_value=0, max_value=10 ** 30)) \
+            + draw(st.integers(min_value=1, max_value=2))
+        sign = draw(st.sampled_from([1, -1]))
+        zero = draw(st.integers(min_value=0, max_value=3)) == 0
+        entries.append(0 if zero else sign * unit * 3 ** nu)
+        floors.append(nu + draw(st.integers(min_value=-60, max_value=3)))
+    return entries, floors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entries_and_floors())
+# a sharp drop after a deep entry: the neighbour's guess misses, once
+# with the entry above its floor and once below it; zeros, a negative
+# floor and valuations past 2000
+@example(([3 ** 40, 5 * 3 ** 7, 3 ** 50], [0, 0, 0]))
+@example(([3 ** 40, -(3 ** 7) * 2, 3 ** 2001], [1, 9, 2000]))
+@example(([0, 0, 2 * 3 ** 2500, 0, 3 ** 2499], [-1, 5, 2400, 0, 2600]))
+def test_valuations_equal_each_entrys_own(case):
+    entries, floors = case
+    want = [valuation(e) if e else None for e in entries]
+    assert vectors._valuations(entries, floors) == want
 
 
 def test_check_valuations_on_edited_vectors():
