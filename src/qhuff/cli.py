@@ -29,10 +29,14 @@ _INTERNAL_ERROR = 3
 MAX_VECTOR_DEPTH = 8
 
 # Largest expansion `expand` takes on: coefficients held (order less the
-# q-shift, plus one) times the product and division steps, one per unit
-# of each exponent (at least one).  A negative q-shift widens the series,
-# and each unit of exponent costs one pass over it.  On one CPU '1/f1'
-# took 4.0 s at 100000 (34 MB) and 13.4 s at 200000 (59 MB).
+# q-shift, plus one) times the passes over them that the expansion's plan
+# makes, at least one (``residues.expand_passes``).  A stage by a sparse
+# factor is one pass; a factor raised by squaring is dense, so its stage
+# and each squaring and multiplication that raise it count one pass per
+# coefficient: 'f1^2147483647' took 0.08 s at order 100 and 8.9 s at 400,
+# growing with about the 3.4th power of the order.  A negative q-shift
+# widens the series.  On one CPU '1/f1' took 4.0 s at 100000 (34 MB) and
+# 13.4 s at 200000 (59 MB).
 MAX_EXPAND_WORK = 200000
 
 
@@ -140,14 +144,16 @@ def _any_int_length():
 # -- expand --------------------------------------------------------------
 
 def cmd_expand(args, config):
+    from .residues import expand_passes
+
     spec = parse(args.expression)
     order = config.order
     coeffs = order - spec.qshift + 1
-    steps = max(1, sum(abs(e) for e in spec.factors.values()))
+    steps = max(1, expand_passes(spec, order))
     with _any_int_length():  # the constant may be a product of long literals
         if coeffs * steps > MAX_EXPAND_WORK:
             raise ValueError(
-                f"expanding {spec.render()} to order {order} takes {steps} step(s) "
+                f"expanding {spec.render()} to order {order} takes {steps} pass(es) "
                 f"over {coeffs} coefficients, past the expand budget "
                 f"MAX_EXPAND_WORK = {MAX_EXPAND_WORK}")
         series = expand_spec(spec, order)

@@ -13,6 +13,9 @@ immutable and safe to share between pipelines.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress, islice
+
 INF = float("inf")
 
 # Division splits work at this offset: smaller shifts run sequentially,
@@ -29,7 +32,51 @@ class BeyondValidity(ValueError):
 
 
 def _nonzeros(coeffs):
-    return [(i, c) for i, c in enumerate(coeffs) if c]
+    """(i, c) for each nonzero c = coeffs[i]; the zeros are skipped in C."""
+    return [(i, coeffs[i]) for i in compress(range(len(coeffs)), coeffs)]
+
+
+def _mul_core(a, b, length, start=0):
+    """Coefficients start..length-1 of the product of the runs ``a`` and ``b``.
+
+    Few pairs of nonzero terms (at most two per coefficient through
+    q^(length-1)) are multiplied pair by pair; otherwise each nonzero term
+    of the sparser run adds in a slice of the other.  A product resumes as
+    a division does: given every input coefficient through q^(length-1),
+    only outputs from ``start`` on are computed, and only the pairs and
+    slices that land there are visited.
+    """
+    if len(a) > length:
+        a = a[:length]
+    if len(b) > length:
+        b = b[:length]
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if na > nb:
+        a, b, na, nb = b, a, nb, na
+    sparse = _nonzeros(a)
+    out = [0] * (length - start)
+    if na * nb <= 2 * length:
+        others = _nonzeros(b)
+        exps = [j for j, _ in others] if start else None
+        for i, ca in sparse:
+            for j, cb in islice(others, bisect_left(exps, start - i), None) if i < start else others:
+                k = i + j
+                if k >= length:
+                    break
+                out[k - start] += ca * cb
+        return out
+    for i, c in sparse:
+        lo = start - i if i < start else 0
+        seg = b[lo:length - i]
+        o = i + lo - start
+        win = out[o: o + len(seg)]
+        if c == 1:
+            out[o: o + len(seg)] = [x + y for x, y in zip(win, seg)]
+        elif c == -1:
+            out[o: o + len(seg)] = [x - y for x, y in zip(win, seg)]
+        else:
+            out[o: o + len(seg)] = [x + c * y for x, y in zip(win, seg)]
+    return out
 
 
 def _recip_core(num, den, length, out=None):
@@ -38,7 +85,8 @@ def _recip_core(num, den, length, out=None):
     A division resumes where an earlier call stopped: ``out`` may hold its
     outputs 0..start-1, and is extended in place to all ``length`` outputs.
     Then ``num`` holds the numerator from q^start on, and only outputs
-    start..length-1 are computed and returned.
+    start..length-1 are computed and returned; when start is 0, that is
+    ``out`` itself, so no second list of them is held.
     """
     out = [] if out is None else out
     start = len(out)
@@ -103,7 +151,7 @@ def _recip_core(num, den, length, out=None):
                         break
                     t -= c * out[m]
                 out[n] = t
-    return out[start:]
+    return out[start:] if start else out
 
 
 class Series:
@@ -275,32 +323,7 @@ class Series:
         length = full if valid == INF else min(full, valid - lead + 1)
         if length <= 0:
             return Series(0, (), valid)
-        a, b = self.coeffs, other.coeffs
-        nza, nzb = _nonzeros(a), _nonzeros(b)
-        out = [0] * length
-        if len(nza) * len(nzb) <= 2 * length:
-            if len(nza) > len(nzb):
-                nza, nzb = nzb, nza
-            for i, ca in nza:
-                for j, cb in nzb:
-                    k = i + j
-                    if k >= length:
-                        break
-                    out[k] += ca * cb
-        else:
-            sparse, dense = (nza, b) if len(nza) <= len(nzb) else (nzb, a)
-            for i, c in sparse:
-                if i >= length:
-                    break
-                seg = dense[:length - i]
-                win = out[i: i + len(seg)]
-                if c == 1:
-                    out[i: i + len(seg)] = [x + y for x, y in zip(win, seg)]
-                elif c == -1:
-                    out[i: i + len(seg)] = [x - y for x, y in zip(win, seg)]
-                else:
-                    out[i: i + len(seg)] = [x + c * y for x, y in zip(win, seg)]
-        return Series(lead, out, valid)
+        return Series(lead, _mul_core(self.coeffs, other.coeffs, length), valid)
 
     __rmul__ = __mul__
 

@@ -299,14 +299,17 @@ class SeriesCache:
 
     Family series are stored under the family name, others under the
     rendered spec; a ``residues.Reduced`` spec renders to a key that no
-    exact spec does.  Beside each series the cache keeps its division
-    state, so widening it resumes the divisions and computes only the
-    missing coefficients; a spec with no division (no negative factor) has
-    no state and is expanded again from q^0.  ``stats`` counts lookups:
-    ``hits`` (the stored series reached far enough), ``widenings`` (it was
-    replaced by a wider one) and ``misses`` (nothing was stored), and
-    ``discarded_coeffs`` the stored coefficients that widenings computed
-    again, those of series without a state.
+    exact spec does.  Beside each series the cache keeps the state of its
+    plan, the outputs of its multiplication and division stages, so
+    widening it resumes every stage and computes only the missing
+    coefficients.  A spec with no factor below its order (a constant times
+    a power of q) has no stage and no state, and is expanded again from
+    q^0.  ``stats`` counts lookups: ``hits`` (the stored series reached far
+    enough), ``widenings`` (it was replaced by a wider one) and ``misses``
+    (nothing was stored), and ``discarded_coeffs`` the stored coefficients
+    that widenings computed again, those of series without a state.  A
+    residue series whose stored plan of Jacobi cubes no longer fits the
+    packed slots is expanded again too, once, and is not counted there.
     """
 
     def __init__(self):
@@ -420,6 +423,24 @@ def _residue_cap(claim, modulus):
     return cap
 
 
+def _progression(series, stride, offset, n_max):
+    """The coefficients of q^(stride*n + offset) for 0 <= n <= n_max.
+
+    One check against ``valid_to`` (the error names the first exponent
+    past it, as ``Series.coefficient`` does) and one slice of the stored
+    run; exponents before the lead or after the run read 0.
+    """
+    if stride * n_max + offset > series.valid_to:
+        first = max((series.valid_to - offset) // stride + 1, 0)
+        series.coefficient(stride * first + offset)
+    skip = max(-((offset - series.lead) // stride), 0)  # those before the lead
+    if skip > n_max:
+        return [0] * (n_max + 1)
+    i = stride * skip + offset - series.lead
+    run = list(series.coeffs[i: i + stride * (n_max - skip) + 1: stride])
+    return [0] * skip + run + [0] * (n_max + 1 - skip - len(run))
+
+
 def _scan(claim, n_max, series, cap=None):
     """The claim's report from the coefficients of ``series``.
 
@@ -429,13 +450,11 @@ def _scan(claim, n_max, series, cap=None):
     """
     started = time.perf_counter()
     base, modulus = claim.modulus_base, claim.modulus
-    failures = []
+    coeffs = _progression(series, claim.stride, claim.offset, n_max)
+    failures = [n for n, c in enumerate(coeffs) if c % modulus] if modulus > 1 else []
     # Only a nonzero c that floor does not divide can lower min_val.
     min_val, floor = (INF, None) if cap is None else (AtLeast(cap), base ** cap)
-    for n in range(n_max + 1):
-        c = series.coefficient(claim.stride * n + claim.offset)
-        if modulus > 1 and c % modulus:
-            failures.append(n)
+    for c in coeffs:
         if c and (floor is None or c % floor):
             min_val = valuation(c, base)
             floor = base ** min_val

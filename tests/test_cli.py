@@ -55,11 +55,21 @@ def test_expand_csv_to_file(capsys, tmp_path):
 
 
 def test_expand_refused_past_the_work_budget(capsys):
-    # f1^40000 at order 4: 5 coefficients times 40000 steps, the budget
-    assert 5 * 40000 == cli.MAX_EXPAND_WORK
+    # Coefficients times the passes of the plan: f1*...*f5 at order 39999 is
+    # 40000 coefficients times five sparse stages, the budget.
+    assert 40000 * 5 == cli.MAX_EXPAND_WORK
+    rc, out, _ = run(capsys, "expand", "f1*f2*f3*f4*f5", "-N", "39999", "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 1 + 40000
+    # A large exponent costs a pass per squaring, not per unit of exponent.
     rc, out, _ = run(capsys, "expand", "f1^40000", "-N", "4")
     assert rc == 0 and out.splitlines()[-1] == "  q^4: 106618670599930000"
-    for argv in (["f1^40001", "-N", "4"], ["f1^2147483647", "-N", "5"],
+    rc, out, _ = run(capsys, "expand", "f1^1000000", "-N", "5")
+    assert rc == 0 and out.splitlines()[2] == "  q^1: -1000000"
+    # Squaring a dense run takes a pass per coefficient: f1^2147483647 is
+    # taken at order 5, refused at 100.
+    rc, _, _ = run(capsys, "expand", "f1^2147483647", "-N", "5")
+    assert rc == 0
+    for argv in (["f1*f2*f3*f4*f5", "-N", "40000"], ["f1^2147483647", "-N", "100"],
                  ["1/q^99999999", "-N", "5"], ["f1", "-N", "200000"]):
         rc, out, err = run(capsys, "expand", *argv)
         assert rc == 2 and out == "" and "MAX_EXPAND_WORK" in err, argv
@@ -107,7 +117,7 @@ def test_expand_long_literal_names_the_digit_bound(capsys):
     head, last = out.splitlines()[-2:]
     assert rc == 0 and last == "  q^1: 0"
     assert head.startswith("  q^0: 9") and len(head) == 7 + 5120
-    rc, out, err = run(capsys, "expand", big + "*f1^100000", "-N", "5")
+    rc, out, err = run(capsys, "expand", big + "*f1", "-N", "200000")
     assert rc == 2 and out == "" and "MAX_EXPAND_WORK" in err
 
 

@@ -6,12 +6,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qhuff
 from qhuff import residues
-from qhuff.eta import expand_eta, expand_spec, parse
+from qhuff.eta import FAMILIES, EtaQuotientSpec, expand_eta, expand_spec, parse
 from qhuff.residues import (Reduced, div_residues, expand_exact, expand_spec_residues,
                             jacobi_cube, pack_stage, unpack_stage)
 from qhuff.series import Series, _recip_core
@@ -77,20 +77,110 @@ def test_resumed_residue_kernel_matches_one_shot(division, modulus):
     assert got == whole
 
 
+@pytest.mark.parametrize("modulus", [M32, CLAIM_MODULUS])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_weighted_residue_kernel_resumes_on_cube_divisors(k, modulus):
+    # A Jacobi cube's terms weigh 2j+1; its packed windows are weighted by
+    # them.  One shot, and resumed at every split and through all of them,
+    # the residues are the exact quotient's, for either sign of the divisor.
+    length = 1100
+    cube = jacobi_cube(k, length).coeffs
+    rng = random.Random(k)
+    num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(length + 2)]
+    splits = (31, 32, 33, 511, 512, 513, length)
+    for den in (cube, [-c for c in cube]):
+        whole = div_residues(num, den, length, modulus)
+        assert whole == [x % modulus for x in _recip_core(num, den, length)]
+        for split in splits:
+            packed = bytearray()
+            head = div_residues(num, den, split, modulus, packed)
+            assert head + div_residues(num[split:], den, length, modulus, packed) == whole
+        packed, got = bytearray(), []
+        for split in splits:
+            got += div_residues(num[len(got):], den, split, modulus, packed)
+        assert got == whole
+
+
+def test_residue_cube_plan_widened_past_its_weight_guard_falls_back():
+    # b = f1 f2 / (f1^3 f2^3).  Mod 3^32 the cube of f1 has packed weight
+    # 7857 through q^4000, inside 2^64 / 3^32 - 1, and 12036 through
+    # q^6000, past it; the cube of f2 still fits there.
+    route = residues._Residues(M32)
+    assert route.fits(1, 4000) and not route.fits(1, 6000) and route.fits(2, 6000)
+    key = Reduced(FAMILIES["b"].spec, M32)
+    cache = SeriesCache()
+    narrow = cache.spec(key, 4000)
+    assert cache._states[key.render()][0] == ((2, 1), (1, 1), (1, -3), (2, -3))
+    # The widening drops the stored plan and expands from q^0, dividing by
+    # f1 twice.
+    wide = cache.spec(key, 6000)
+    assert cache._states[key.render()][0] == ((2, 1), (1, -1), (1, -1), (2, -3))
+    exact = expand_spec(key.spec, 6000).coefficients(0, 6000)
+    assert wide == key.expand(6000)[0]
+    assert wide.coefficients(0, 6000) == [c % M32 for c in exact]
+    assert narrow.coefficients(0, 4000) == [c % M32 for c in exact[:4001]]
+    # The new plan resumes.
+    assert cache.spec(key, 6500) == key.expand(6500)[0]
+    assert cache.stats == {"hits": 0, "widenings": 2, "misses": 1, "discarded_coeffs": 0}
+
+
+@st.composite
+def quotients(draw):
+    """A spec and three rising orders: exponents of every residue mod 3,
+    constants, q-shifts and an exponent large enough to be squared."""
+    exponents = st.integers(-8, 6).filter(bool) | st.sampled_from((-60, 40))
+    factors = draw(st.dictionaries(st.integers(1, 12), exponents, max_size=4))
+    constant = draw(st.sampled_from((1, -1, 2, 7, -12)))
+    qshift = draw(st.integers(-3, 3))
+    orders = draw(st.lists(st.integers(max(qshift, 0), 1100), min_size=3, max_size=3,
+                           unique=True) | st.just([400, 600, 1100]))
+    return EtaQuotientSpec(constant, qshift, factors), sorted(orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotients(), st.sampled_from((M32, CLAIM_MODULUS, 2 ** 54)))
+@example((EtaQuotientSpec(5, 1, {1: -5, 3: 2, 7: -1}), [400, 600, 1100]), 2 ** 54)
+def test_residue_and_exact_widenings_of_random_quotients_match_cold(quotient, modulus):
+    # Widened through three orders, on both routes, every series equals a
+    # cold expansion, and the residues are the exact coefficients mod M.
+    # Mod 2^54 the cube of f1 stops fitting past order 527, so a cube plan
+    # falls back to single f_k.
+    spec, orders = quotient
+    reduced = Reduced(spec, modulus)
+    cache = SeriesCache()
+    lo = min(spec.qshift, 0)
+    for order in orders:
+        exact = cache.spec(spec, order)
+        assert exact == expand_spec(spec, order), order
+        got = cache.spec(reduced, order)
+        assert got == reduced.expand(order)[0], order
+        assert got.coefficients(lo, order) == \
+            [c % modulus for c in exact.coefficients(lo, order)], order
+
+
 def test_residue_kernel_slot_guard():
-    # One packed term: slots stay below (1 + 1) * modulus, at most 2^64.
+    # One packed term of weight 1: slots stay below (1 + 1) * modulus, at
+    # most 2^64.
     den = [1] + [0] * 39 + [1]
     num = list(range(1, 101))
     for modulus in (2 ** 63, 2 ** 62 + 1):
         want = [x % modulus for x in _recip_core(num, den, 100)]
         assert div_residues(num, den, 100, modulus) == want
-    with pytest.raises(OverflowError, match="64-bit slot"):
+    with pytest.raises(OverflowError, match="weight 1 at modulus"):
         div_residues(num, den, 100, 2 ** 63 + 1)
+    # The guard sums the magnitudes of both signs: weight 1 + 3 = 4, so
+    # slots stay below 5 * modulus.
+    den = [1] + [0] * 39 + [1] + [0] * 9 + [-3]
+    for modulus in (2 ** 64 // 5, 2 ** 61):
+        want = [x % modulus for x in _recip_core(num, den, 100)]
+        assert div_residues(num, den, 100, modulus) == want
+    with pytest.raises(OverflowError, match="weight 4 at modulus"):
+        div_residues(num, den, 100, 2 ** 64 // 5 + 1)
     f1 = expand_eta(1, 30000).coeffs
     with pytest.raises(OverflowError, match="64-bit slot"):
         div_residues([1], f1, 30001, 3 ** 39)
-    with pytest.raises(ValueError, match="not -1, 0 or 1"):
-        div_residues([1], [1, 2], 5, M32)
+    # Terms below the sub-block run one at a time and take any coefficient.
+    assert div_residues([1], [1, 2], 5, M32) == [x % M32 for x in _recip_core([1], [1, 2], 5)]
 
 
 def test_residue_expansion_matches_exact():
@@ -127,16 +217,44 @@ def test_jacobi_cube_is_f_k_cubed(k):
     assert jacobi_cube(k, 600) == f * f * f
 
 
+# Each bound 2^k of a typecode's range: the largest value and the least
+# it holds, then one past each end.
+CODEC_BOUNDS = [v for k in (7, 15, 31, 63)
+                for v in ([2 ** k - 1, -2 ** k], [2 ** k], [-2 ** k - 1])]
+
+
 @pytest.mark.parametrize("values", [
     [], [0], [0, 0, 0], [127, -127], [-1, 1, -128, 128, -129, 255, -256],
     [2 ** 63, -2 ** 63, 2 ** 64 - 1, 0],
     [-(10 ** 4400) - 3, 10 ** 4400 + 7, 0, -5, 1],
+    *CODEC_BOUNDS, [3 ** 200, -1, 0], [-(2 ** 127)],
 ])
 def test_stage_packing_round_trips(values):
-    width, data = pack_stage(values)
-    assert width == max(map(int.bit_length, values), default=0) // 8 + 1
-    assert len(data) == width * len(values)
-    assert unpack_stage((width, data)) == values
+    # An array of the narrowest signed typecode that holds every value;
+    # past 64 bits, fixed-width signed bytes.
+    stage = pack_stage(values)
+    assert unpack_stage(stage) == values
+    if not values:
+        assert stage == ()
+        return
+    (block,) = stage
+    size = next((size for size in (1, 2, 4, 8)
+                 if all(-2 ** (8 * size - 1) <= v < 2 ** (8 * size - 1) for v in values)),
+                None)
+    if size is None:
+        width, data = block
+        assert width == max(map(int.bit_length, values)) // 8 + 1
+        assert len(data) == width * len(values)
+    else:
+        assert block.itemsize == size and block.typecode in "bhilq"
+
+
+def test_stage_packing_sizes_each_block_apart():
+    # Outputs grow along a series; each block of 512 is as wide as its own.
+    values = [1] * 512 + [-(2 ** 15)] * 512 + [2 ** 70, 3]
+    small, medium, wide = pack_stage(values)
+    assert (small.itemsize, medium.itemsize, wide[0]) == (1, 2, 9)
+    assert unpack_stage((small, medium, wide)) == values
 
 
 # A constant alone, positive and negative q-shifts, no denominator, a
@@ -152,8 +270,9 @@ def test_exact_widenings_match_cold_expansions(text):
     cache = SeriesCache()
     for order in (4, 40, 600, 1100):  # across the 512-coefficient block edge
         assert cache.spec(spec, order) == expand_spec(spec, order), order
-    # Only a spec with no division expands again, from q^0.
-    recomputed = 0 if spec.factors and min(spec.factors.values()) < 0 else 5 + 41 + 601
+    # Every stage resumes, products included; only a spec with no factor
+    # (a constant times a power of q) has no stage and expands again.
+    recomputed = 0 if spec.factors else 5 + 41 + 601
     assert cache.stats == {"hits": 0, "widenings": 3, "misses": 1,
                            "discarded_coeffs": recomputed}
 
@@ -174,21 +293,35 @@ def test_exact_widenings_of_the_request_quotients(monkeypatch):
 
 
 def test_exact_widening_divides_only_new_coefficients(monkeypatch):
-    counted = []
+    divided, multiplied = [], []
 
     def divide(num, den, length, out):
         new = _recip_core(num, den, length, out)
-        counted.append((len(out) - len(new), len(new)))
+        divided.append((len(out) - len(new), len(new)))
+        return new
+
+    multiply = residues._Exact.multiply
+
+    def counted_multiply(full, part, length, stage):
+        start = len(stage)
+        new = multiply(full, part, length, stage)
+        multiplied.append((start, len(new)))
         return new
 
     monkeypatch.setattr(residues._Exact, "divide", staticmethod(divide))
-    spec = parse("f2^4/(q*f1^5*f3)")  # a Jacobi cube, f1 twice and f3: 4 divisions
+    monkeypatch.setattr(residues._Exact, "multiply", staticmethod(counted_multiply))
+    # f2^4 multiplies by a Jacobi cube and f2; f1^5 and f3 divide by a cube,
+    # f1 twice and f3.
+    spec = parse("f2^4/(q*f1^5*f3)")
     cache = SeriesCache()
     cache.spec(spec, 600)  # q^-1 through q^600: 602 coefficients
-    assert counted == [(0, 602)] * 4
-    counted.clear()
+    assert multiplied == [(0, 602)] * 2
+    assert divided == [(0, 602)] * 4
+    multiplied.clear()
+    divided.clear()
     cache.spec(spec, 1100)
-    assert counted == [(602, 500)] * 4
+    assert multiplied == [(602, 500)] * 2
+    assert divided == [(602, 500)] * 4
     assert cache.stats["discarded_coeffs"] == 0
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhuff.series import INF, BeyondValidity, NonUnitLead, Series
+from qhuff.series import INF, BeyondValidity, NonUnitLead, Series, _mul_core
 
 
 def naive_mul(a, b, order):
@@ -273,3 +273,17 @@ def test_invert_roundtrip_random(a):
 @given(series(), series())
 def test_add_commutes(a, b):
     assert a + b == b + a
+
+
+RUNS = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -7, 10 ** 30)), max_size=90)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RUNS, RUNS, st.integers(1, 80), st.data())
+def test_resumed_product_matches_schoolbook(a, b, length, data):
+    # Outputs start..length-1 only, pair by pair or slice by slice.
+    start = data.draw(st.integers(0, length))
+    full = [sum(a[i] * b[n - i] for i in range(n + 1) if i < len(a) and n - i < len(b))
+            for n in range(length)]
+    assert _mul_core(a, b, length, start) == full[start:]
+    assert _mul_core(tuple(a), tuple(b), length, start) == full[start:]

@@ -4,6 +4,8 @@ import random
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qhuff import cli, verify
 from qhuff.eta import FAMILIES, expand_spec, parse
@@ -116,8 +118,9 @@ def test_series_cache_reuses_widest():
 
 
 def test_series_cache_counts_its_lookups():
-    # An exact widening resumes p's division and recomputes nothing; a spec
-    # with no division is expanded again.
+    # An exact widening resumes p's division and recomputes nothing, and
+    # so does one of a product; a spec with no factor has no stage and is
+    # expanded again.
     cache = SeriesCache()
     for order in (20, 10, 40, 40):
         cache.family("p", order)
@@ -126,7 +129,11 @@ def test_series_cache_counts_its_lookups():
     cache.spec(parse("f1^2*f3"), 20)
     cache.spec(parse("f1^2*f3"), 40)
     assert cache.stats == {"hits": 2, "widenings": 2, "misses": 2,
-                           "discarded_coeffs": 21}
+                           "discarded_coeffs": 0}
+    cache.spec(parse("3*q"), 20)
+    cache.spec(parse("3*q"), 40)
+    assert cache.stats == {"hits": 2, "widenings": 3, "misses": 3,
+                           "discarded_coeffs": 20}
     # Reduced keys count the same way, through fill and through spec, but a
     # widening resumes the stored divisions and recomputes nothing.
     cache = SeriesCache()
@@ -168,12 +175,12 @@ def test_reduced_widening_matches_cold_residues():
 
 
 def test_residue_widening_past_the_slot_guard_keeps_the_stored_series():
-    # p's divisor f1 has 42 packed terms at order 999 and 64 at 1999, where
-    # (64 + 1) * 2^58 passes 2^64.
+    # p's divisor f1 has 42 packed unit terms at order 999 and 64 at 1999,
+    # where their weight gives (64 + 1) * 2^58, past 2^64.
     cache = SeriesCache()
     key = Reduced(FAMILIES["p"].spec, 2 ** 58)
     narrow = cache.spec(key, 999)
-    with pytest.raises(OverflowError, match="64 packed divisor terms"):
+    with pytest.raises(OverflowError, match="weight 64 at modulus"):
         cache.spec(key, 1999)
     assert cache.spec(key, 999) is narrow
     assert narrow == key.expand(999)[0]
@@ -399,6 +406,51 @@ def test_valuation_skip_matches_full_scan(base, monkeypatch):
     zeros = Series(0, [0, 0, 0, 1], 3)
     got = verify._scan(CongruenceClaim("p", 1, 0, 1, base), 2, zeros)
     assert got.min_valuation == INF and got.failures == []
+
+
+def _scan_per_index(claim, n_max, series, cap=None):
+    """(failures, min_valuation) read one ``Series.coefficient`` call per index."""
+    base, modulus = claim.modulus_base, claim.modulus
+    failures = []
+    min_val, floor = (INF, None) if cap is None else (AtLeast(cap), base ** cap)
+    for n in range(n_max + 1):
+        c = series.coefficient(claim.stride * n + claim.offset)
+        if modulus > 1 and c % modulus:
+            failures.append(n)
+        if c and (floor is None or c % floor):
+            min_val = valuation(c, base)
+            floor = base ** min_val
+    return failures, min_val
+
+
+def _either_scan(scan, *args):
+    try:
+        failures, nu = scan(*args)
+    except BeyondValidity as exc:
+        return str(exc)
+    return failures, nu, type(nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 12), st.lists(st.integers(-30, 30), max_size=40),
+       st.integers(0, 15), st.integers(1, 12), st.integers(0, 11), st.integers(0, 30),
+       st.integers(0, 3), st.sampled_from((2, 3, 5)), st.none() | st.integers(1, 4))
+@example(10, [0, 3, 9, 0, 0], 20, 3, 1, 12, 1, 3, 2)  # lead past the offset
+def test_sliced_scan_matches_per_index_scan(lead, coeffs, extra, stride, offset, n_max,
+                                            exponent, base, cap):
+    # Trailing zeros are trimmed from the stored run, and up to ``extra``
+    # known zeros follow it; a range past valid_to names the same first
+    # exponent on both scans.
+    series = Series(lead, coeffs, lead + len(coeffs) - 1 + extra)
+    claim = CongruenceClaim("p", stride, offset % stride, exponent, base)
+
+    def sliced(*args):
+        report = verify._scan(*args)
+        assert report.n_max == n_max
+        return report.failures, report.min_valuation
+
+    assert _either_scan(sliced, claim, n_max, series, cap) == \
+        _either_scan(_scan_per_index, claim, n_max, series, cap)
 
 
 def _seeded_claims():
