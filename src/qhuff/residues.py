@@ -10,11 +10,12 @@ sparse steps cost more than squaring, as one ``Series.power`` stage.  A
 factor f_k with k past the working order is 1 there and is left out.
 
 It also returns the plan's state: the plan, and the outputs of every
-stage but the last, whose outputs the series holds.  Given it, a wider
-expansion recomputes only the factors, which are sparse and cheap, and
-resumes every stage where it stopped: a multiplication computes its new
-outputs from its input's outputs, a division from its own earlier ones.
-No stored coefficient is computed again.
+stage but two, the last, whose outputs the series holds, and a first
+multiplication, whose outputs are the constant times its factor.  Given
+it, a wider expansion recomputes only the factors, which are sparse and
+cheap, and resumes every stage where it stopped: a multiplication
+computes its new outputs from its input's outputs, a division from its
+own earlier ones.  No stored coefficient is computed again.
 
 Two routes share the plan; the kernels, the divisors and the stage
 encoding differ.
@@ -105,7 +106,8 @@ def _windows(view, terms, lo, hi):
     Each window is read from the packed outputs in ``view`` as one int;
     one that would start before out[0] is shifted to its first slot.
     Returns the sum and the summed weight of the windows, those of every
-    e < hi.  Unit weights are summed as plain reads.
+    e < hi.  Unit weights are summed as plain reads (see
+    :func:`div_residues`).
     """
     exps, weights = terms
     full = bisect_right(exps, lo)
@@ -185,6 +187,10 @@ def div_residues(num, den, length, modulus, packed=None):
     mid, far = tuple(map(_window_terms, mid)), tuple(map(_window_terms, far))
     near_sub = [e for e, c in near if c == 1]
     near_add = [e for e, c in near if c == -1]
+    # A unit divisor (every f_k) reads its windows and near terms without
+    # multiplying by 1: through the weighted path alone, dividing by f1
+    # and f2 through 30001 coefficients mod 3^32 took 25% longer, and so
+    # did a `ladder` pass, which divides by nothing else.
     near_units = len(near_sub) + len(near_add) == len(near)
     res = [c % modulus for c in num[:length - start]]
     res += [0] * (length - start - len(res))
@@ -346,22 +352,20 @@ def _exact_plan(factors, inner):
 def expand_passes(spec, order):
     """The passes over the series that :func:`expand_exact` makes through ``order``.
 
-    One per stage of its plan by a sparse factor, an f_k or a Jacobi cube.
-    A factor raised by ``Series.power`` is dense: its stage, and each
-    squaring and multiplication that raise it, take one pass per
+    One per stage (k, p) of its plan by a sparse factor, an f_k or a
+    Jacobi cube.  A factor raised by ``Series.power`` is dense: its stage,
+    and each squaring and multiplication that raise it, take one pass per
     coefficient, since every coefficient of one dense factor sweeps the
     other.
     """
     inner = order - spec.qshift
     passes = 0
-    for k, e in spec.factors.items():
-        if k > inner:
-            continue
-        cubes, rest = divmod(abs(e), 3)
-        if _powered(k, e, inner):
-            passes += (cubes.bit_length() + cubes.bit_count() - 1 + rest) * (inner + 1)
+    for _, p in _exact_plan({k: e for k, e in spec.factors.items() if k <= inner}, inner):
+        cubes, rest = divmod(abs(p), 3)
+        if abs(p) <= 3:
+            passes += 1
         else:
-            passes += cubes + rest
+            passes += (cubes.bit_length() + cubes.bit_count() - 1 + rest) * (inner + 1)
     return passes
 
 
@@ -469,6 +473,8 @@ def _expand(spec, order, route, prior=None, keep=True):
     (plan, stages): the (k, p) of every stage, multiplying by f_k^p when
     p > 0 and dividing by f_k^-p otherwise, and the outputs of every stage
     but the last, closed by the route; the series holds the last one's.
+    A first multiplication is left out of the stages too: its outputs are
+    the constant times its factor, rebuilt at every order.
     Given the ``prior`` (series, state) of the same spec at a lower order,
     every stage resumes from its stored outputs and computes only the new
     ones.  The prior's plan is kept; the stages of a factor it left out
@@ -489,16 +495,26 @@ def _expand(spec, order, route, prior=None, keep=True):
     parts = {kp: _eta_power(*kp, inner).coeffs for kp in ups}
     plan += tuple(sorted(ups, key=lambda kp: _terms(parts[kp])))
     plan += tuple(kp for kp in added if kp[1] < 0)
-    values = route.reduce([spec.constant]) + [0] * inner  # the constant's outputs
     if not plan:
-        return Series(spec.qshift, values, order), None
+        return Series(spec.qshift, route.reduce([spec.constant]) + [0] * inner, order), None
+    k, p = plan[0]
+    key = (k, abs(p))
+    part = parts.pop(key, None) or _eta_power(*key, inner).coeffs
+    values = [spec.constant] + [0] * inner  # the constant's outputs
+    first = int(p > 0)  # a first multiplication scales its factor
+    if first:
+        values = [spec.constant * c for c in part[:length]]
+        values += [0] * (length - len(values))
+    values = route.reduce(values)
     run = values[len(last):]
-    kept, key = [], None
-    for i, (k, p) in enumerate(plan):
+    kept = []
+    for i in range(first, len(plan)):
+        k, p = plan[i]
         if (k, abs(p)) != key:  # a factor's repeats come in a row
             key = (k, abs(p))
             part = parts.pop(key, None) or _eta_power(*key, inner).coeffs
-        stage = route.open(stages[i]) if i < len(stages) else route.start(last, p > 0)
+        j = i - first
+        stage = route.open(stages[j]) if j < len(stages) else route.start(last, p > 0)
         if p > 0:
             run = route.multiply(values, part, length, stage)
         else:

@@ -310,19 +310,22 @@ def test_exact_widening_divides_only_new_coefficients(monkeypatch):
 
     monkeypatch.setattr(residues._Exact, "divide", staticmethod(divide))
     monkeypatch.setattr(residues._Exact, "multiply", staticmethod(counted_multiply))
-    # f2^4 multiplies by a Jacobi cube and f2; f1^5 and f3 divide by a cube,
-    # f1 twice and f3.
+    # f2^4 multiplies by a Jacobi cube and f2, the first of which is the
+    # factor itself and is not multiplied; f1^5 and f3 divide by a cube, f1
+    # twice and f3.
     spec = parse("f2^4/(q*f1^5*f3)")
     cache = SeriesCache()
     cache.spec(spec, 600)  # q^-1 through q^600: 602 coefficients
-    assert multiplied == [(0, 602)] * 2
+    assert multiplied == [(0, 602)]
     assert divided == [(0, 602)] * 4
     multiplied.clear()
     divided.clear()
     cache.spec(spec, 1100)
-    assert multiplied == [(602, 500)] * 2
+    assert multiplied == [(602, 500)]
     assert divided == [(602, 500)] * 4
     assert cache.stats["discarded_coeffs"] == 0
+    plan, stages = cache._states[spec.render()]
+    assert len(plan) == 6 and len(stages) == 4  # neither the first nor the last
 
 
 def test_widening_leaves_the_prior_as_it_was():
