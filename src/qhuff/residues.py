@@ -40,15 +40,19 @@ encoding differ.
   :func:`div_residues` adds each window of earlier outputs it reads, times
   its divisor coefficient, into the slots, so a slot stays below
   (weight + 1) * modulus, the weight being the summed magnitudes of those
-  coefficients; the division is taken only where that fits 64 bits.  A
-  Jacobi cube's weight grows as about 2n/k through q^n, past 2^64 /
-  modulus near 1.8e5 coefficients for f1 mod ``verify.CLAIM_MODULUS`` and
-  near 5000 mod 3^32; f_k's grows as about 1.6 sqrt(n/k).  So where the
-  cube fits, f_k^-3q divides by q cubes, f_k^-(3q+1) by q cubes and f_k,
-  and f_k^-(3q+2) by q + 1 cubes with f_k joining the numerator
-  (f_k^-2 = f_k / f_k^3); elsewhere f_k divides once per unit of
-  exponent.  A stored plan whose cubes stop fitting at a wider order is
-  dropped, and the series is expanded again from q^0 by single f_k.
+  coefficients; the division is taken only where that fits 64 bits.  It
+  reads each completed block of _BLOCK outputs from the packed bytes once,
+  into one int with the block after it, and cuts the window of a far term
+  from such a pair with a shift and a mask; nearer windows are read from
+  the bytes.  A Jacobi cube's weight grows as about 2n/k through q^n, past
+  2^64 / modulus near 1.8e5 coefficients for f1 mod
+  ``verify.CLAIM_MODULUS`` and near 5000 mod 3^32; f_k's grows as about
+  1.6 sqrt(n/k).  So where the cube fits, f_k^-3q divides by q cubes,
+  f_k^-(3q+1) by q cubes and f_k, and f_k^-(3q+2) by q + 1 cubes with f_k
+  joining the numerator (f_k^-2 = f_k / f_k^3); elsewhere f_k divides
+  once per unit of exponent.  A stored plan whose cubes stop fitting at a
+  wider order is dropped, and the series is expanded again from q^0 by
+  single f_k.
 
 The verify layer and ``eta.expand_spec`` import this module on first use,
 so ``import qhuff`` does not load it.
@@ -126,17 +130,53 @@ def _windows(view, terms, lo, hi):
     return total, sum(weights[:end])
 
 
-def _window_sum(view, terms, lo, hi, acc, modulus):
+def _far_windows(pairs, terms, lo, hi):
+    """As :func:`_windows`, for terms with e >= _BLOCK, from ints of block pairs.
+
+    ``pairs[b]`` holds out[_BLOCK * b: _BLOCK * (b + 2)] as one int, or
+    its first half while the second block is not complete; a window is
+    the pair it starts in shifted down, masked to its hi - lo slots.  One
+    that would start before out[0] is the first pair shifted up.
+    """
+    exps, weights = terms
+    full = bisect_right(exps, lo)
+    end = bisect_left(exps, hi, full)
+    mask = (1 << 64 * (hi - lo)) - 1
+    windows = [pairs[(lo - e) // _BLOCK] >> 64 * ((lo - e) % _BLOCK) & mask
+               for e in exps[:full]]
+    windows += [pairs[0] << 64 * (e - lo) & mask for e in exps[full:end]]
+    if weights is None:
+        return sum(windows), end
+    return sum([w * x for w, x in zip(weights, windows)]), sum(weights[:end])
+
+
+def _add_block(pairs, view, a):
+    """Read the completed block out[a: a + _BLOCK] into ``pairs`` (see :func:`_far_windows`).
+
+    It becomes the top half of the block before's pair and the first of
+    its own.  Holding each block twice costs 8 KB a block while the call
+    runs; joining two block ints for each window instead, with a mask
+    built for the low one, divided by f1 and by f2 through 30001
+    coefficients mod 3^32 7-8% slower (best of 20, interleaved).
+    """
+    block = int.from_bytes(view[8 * a: 8 * (a + _BLOCK)], "little")
+    if pairs:
+        pairs[-1] |= block << 64 * _BLOCK
+    pairs.append(block)
+
+
+def _window_sum(windows, source, terms, lo, hi, acc, modulus):
     """Packed ``acc`` - sum of c*out[n - e] over the terms, for lo <= n < hi.
 
     ``terms`` holds the window terms of the positive and of the negative
-    divisor coefficients, each with weight |c|.  The subtracted windows
-    are summed apart and ``modulus`` is added to every slot once per unit
-    of their weight, so no slot borrows.
+    divisor coefficients, each with weight |c|, and ``windows(source,
+    terms, lo, hi)`` sums them.  The subtracted windows are summed apart
+    and ``modulus`` is added to every slot once per unit of their weight,
+    so no slot borrows.
     """
     sub, add = terms
-    plus, _ = _windows(view, add, lo, hi)
-    minus, weight = _windows(view, sub, lo, hi)
+    plus, _ = windows(source, add, lo, hi)
+    minus, weight = windows(source, sub, lo, hi)
     acc += plus
     if weight:
         ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (hi - lo), "little")
@@ -156,6 +196,10 @@ def div_residues(num, den, length, modulus, packed=None):
     then stays below (weight + 1) * modulus, the weight being the summed
     |c| of those terms, which is checked to fit 64 bits before anything is
     computed; an OverflowError says it does not.
+    Blocks end on multiples of _BLOCK, and each completed block is read
+    from ``packed`` once, into the ints of the block pairs it is part of
+    (see :func:`_far_windows`), so a far window is one shift and one mask
+    of an int that exists; a sub-block's windows are read from the bytes.
     Each sub-block is unpacked once, and the terms below _SUB run on its
     coefficients one at a time, with % modulus.
 
@@ -192,23 +236,27 @@ def div_residues(num, den, length, modulus, packed=None):
     # and f2 through 30001 coefficients mod 3^32 took 25% longer, and so
     # did a `ladder` pass, which divides by nothing else.
     near_units = len(near_sub) + len(near_add) == len(near)
-    res = [c % modulus for c in num[:length - start]]
-    res += [0] * (length - start - len(res))
     # Only the last _SUB - 1 earlier outputs are read one at a time.
     tail = max(start - _SUB + 1, 0)
     out = [0] * tail + list(_slots(packed[8 * tail:]))
     out += [0] * (length - start)
     packed += bytes(8 * (length - start))
     with memoryview(packed) as view:
-        for lo in range(start, length, _BLOCK):
-            hi = min(lo + _BLOCK, length)
-            acc = int.from_bytes(_packed(res[lo - start: hi - start]), "little")
-            block = _window_sum(view, far, lo, hi, acc, modulus)
+        pairs = []
+        for a in range(0, start - _BLOCK + 1, _BLOCK):
+            _add_block(pairs, view, a)
+        for edge in range(start - start % _BLOCK, length, _BLOCK):
+            lo, hi = max(edge, start), min(edge + _BLOCK, length)
+            # The numerator is reduced a block at a time: a list of all its
+            # residues would live as long as the pairs.
+            acc = [c % modulus for c in num[lo - start: hi - start]]
+            acc = int.from_bytes(_packed(acc), "little")
+            block = _window_sum(_far_windows, pairs, far, lo, hi, acc, modulus)
             block = block.to_bytes(8 * (hi - lo), "little")
             for s in range(lo, hi, _SUB):
                 t = min(s + _SUB, hi)
                 acc = int.from_bytes(block[8 * (s - lo): 8 * (t - lo)], "little")
-                vals = _slots(_window_sum(view, mid, s, t, acc, modulus)
+                vals = _slots(_window_sum(_windows, view, mid, s, t, acc, modulus)
                               .to_bytes(8 * (t - s), "little"))
                 if near_units:
                     for n in range(s, t):
@@ -231,6 +279,8 @@ def div_residues(num, den, length, modulus, packed=None):
                             v -= c * out[n - e]
                         out[n] = v % modulus
                 view[8 * s: 8 * t] = _packed(out[s:t])
+            if hi == edge + _BLOCK:
+                _add_block(pairs, view, edge)
     del out[:start]
     return out
 
@@ -300,6 +350,24 @@ def jacobi_cube(k, order):
     return Series(0, out, m).dilate(k)
 
 
+def _cube_terms(m):
+    """The number of terms of f_1^3 through q^m: of the j >= 0 with j(j+1)/2 <= m."""
+    return (isqrt(8 * m + 1) + 1) // 2
+
+
+def _cube_weight(k, inner):
+    """The summed |c| of the terms c q^e of f_k^3 with _SUB <= e <= inner.
+
+    These are the terms :func:`div_residues` reads as windows.  The term
+    of j has e = k j(j+1)/2 and |c| = 2j + 1, so with ``low`` terms below
+    q^_SUB and ``top`` through q^inner the weight is the sum of 2j + 1
+    over low <= j < top, top^2 - low^2.
+    """
+    top = _cube_terms(inner // k)
+    low = _cube_terms((_SUB - 1) // k)
+    return max(top * top - low * low, 0)
+
+
 def _powered(k, e, inner):
     """Whether f_k^|e| through q^inner costs less by ``Series.power``.
 
@@ -308,8 +376,7 @@ def _powered(k, e, inner):
     the exponent, when the factors have turned dense.
     """
     cubes = abs(e) // 3
-    terms = (isqrt(8 * (inner // k) + 1) + 1) // 2
-    return cubes * terms > (inner + 1) * cubes.bit_length()
+    return cubes * _cube_terms(inner // k) > (inner + 1) * cubes.bit_length()
 
 
 def _split(k, e, inner):
@@ -411,13 +478,8 @@ class _Residues:
         self.modulus = modulus
 
     def fits(self, k, inner):
-        """Whether :func:`div_residues` takes f_k^3 through q^inner.
-
-        The packed weight is the summed |c| of the cube's terms c q^e with
-        _SUB <= e <= inner, those the kernel reads as windows.
-        """
-        weight = sum(abs(c) for e, c in _nonzeros(jacobi_cube(k, inner).coeffs) if _SUB <= e <= inner)
-        return (weight + 1) * self.modulus <= _SLOT_LIMIT
+        """Whether :func:`div_residues` takes f_k^3 through q^inner (see :func:`_cube_weight`)."""
+        return (_cube_weight(k, inner) + 1) * self.modulus <= _SLOT_LIMIT
 
     def plan(self, factors, inner):
         """The stages of ``factors``: positive ones as exactly, negative by the cube rule."""

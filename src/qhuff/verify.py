@@ -54,11 +54,11 @@ CLAIM_MODULUS = 2 ** 10 * 3 ** 8 * 5 ** 5 * 7 ** 4
 # A split fill starts one worker per group anew (fork: a few ms) and
 # expands the last group in the caller.  On a 2-CPU Linux host (fork
 # start), filling the residues of a3 and a9 split against in one process
-# took 66 against 57 ms at order 4000 (medians of 9, interleaved), 62
-# against 92 at 6000, 70 against 130 at 8000, 91 against 170 at 10000,
-# 150 against 283 at 15000, 321 against 543 at 30000 and 458 against 868
-# at 40000; a second set of 15 put the break-even between 5000 and 6000.
-# The floor sits where the gain, about 45%, is as clear as at 30000.
+# took 58 against 49 ms at order 5000, 52 against 78 at 6000, 65 against
+# 107 at 8000 and 285 against 547 at 30000 (medians of 15, interleaved,
+# with far windows cut from block ints); the break-even is still between
+# 5000 and 6000.  The floor sits where the gain, about 40%, is nearly as
+# clear as at 30000.
 POOL_MIN_ORDER = 8000
 
 

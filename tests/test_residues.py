@@ -101,6 +101,52 @@ def test_weighted_residue_kernel_resumes_on_cube_divisors(k, modulus):
         assert got == whole
 
 
+FAR_RESUMES = (700, 1023, 1024, 1025, 1537, 2049)
+
+
+@pytest.mark.parametrize("modulus", [M32, CLAIM_MODULUS])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k, cube", [(1, False), (2, False), (1, True), (2, True)],
+                         ids=["f1", "f2", "f1^3", "f2^3"])
+@pytest.mark.parametrize("length", [1537, 2100, 2600, 3100])
+def test_residue_far_windows_across_many_blocks(length, k, cube, sign, modulus):
+    # Far windows come from the ints of completed blocks.  Through several
+    # blocks, ending mid-block, and resumed off and on the block edges,
+    # the residues are the exact quotient's and the packed outputs are the
+    # one-shot call's, byte for byte.
+    den = (jacobi_cube(k, length) if cube else expand_eta(k, length)).coeffs
+    den = [sign * c for c in den]
+    rng = random.Random(length * k)
+    num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(length + 2)]
+    whole = bytearray()
+    want = div_residues(num, den, length, modulus, whole)
+    assert want == [x % modulus for x in _recip_core(num, den, length)]
+    resumes = [r for r in FAR_RESUMES if r < length]
+    for split in resumes:
+        packed = bytearray()
+        head = div_residues(num, den, split, modulus, packed)
+        assert head + div_residues(num[split:], den, length, modulus, packed) == want
+        assert packed == whole
+    packed, got = bytearray(), []
+    for split in resumes + [length]:
+        got += div_residues(num[len(got):], den, split, modulus, packed)
+    assert got == want and packed == whole
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 18])
+def test_residue_cube_weight_closed_form_matches_the_built_cube(k):
+    # The weight fits() checks, the summed |c| of the cube's terms from
+    # q^_SUB through the order, at every order up to 120 and on each side
+    # of every exponent k j(j+1)/2 through j = 60.
+    edges = {k * j * (j + 1) // 2 + d for j in range(61) for d in (-1, 0, 1)}
+    for order in sorted(edges.union(range(121)) - {-1}):
+        built = jacobi_cube(k, order).coeffs
+        want = sum(abs(c) for e, c in enumerate(built) if residues._SUB <= e <= order)
+        assert residues._cube_weight(k, order) == want, order
+    assert residues._cube_weight(1, 4000) == 7857
+    assert residues._cube_weight(1, 6000) == 12036
+
+
 def test_residue_cube_plan_widened_past_its_weight_guard_falls_back():
     # b = f1 f2 / (f1^3 f2^3).  Mod 3^32 the cube of f1 has packed weight
     # 7857 through q^4000, inside 2^64 / 3^32 - 1, and 12036 through
