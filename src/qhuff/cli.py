@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 from .eta import NonIntegerConstant, QuotientSyntaxError, expand_spec, parse
 from .series import BeyondValidity
 from .vectors import chain, check_valuations
-from .verify import (SeriesCache, identity_suite, matrix_suite, oracle_suite,
-                     ring_law_suite, theorem_suite, vector_suite)
+from .verify import (ORACLE_CAP, SeriesCache, identity_suite, matrix_suite,
+                     oracle_suite, ring_law_suite, theorem_suite, vector_suite)
 
 USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
@@ -27,6 +27,13 @@ _INTERNAL_ERROR = 3
 # exact and their tables grow as 3^alpha; Y at depth 9 needs 26244 table
 # rows, hours of work.
 MAX_VECTOR_DEPTH = 8
+
+# Most table rows `verify matrix --rows` and `dump matrix --depth` build.
+# A table's memory grows about as rows^3: on a 2-vCPU host, 500 rows took
+# 0.14 s and 27 MB at peak, 1000 rows 0.86 s and 94 MB (the matrix suite
+# 9.6 s), 1400 rows 2.3 s and 220 MB.
+MAX_MATRIX_ROWS = 1000
+_MATRIX_CAP = "matrix row cap MAX_MATRIX_ROWS ="
 
 # Largest expansion `expand` takes on: coefficients held (order less the
 # q-shift, plus one) times the passes over them that the expansion's plan
@@ -68,10 +75,12 @@ class RunConfig:
                 raise ValueError(f"{f.name} {value} must be at least {least}")
         if self.format not in ("text", "json", "csv"):
             raise ValueError(f"format {self.format!r} must be text, json, or csv")
-        for name in ("recon_alpha", "val_alpha"):
-            if getattr(self, name) > MAX_VECTOR_DEPTH:
-                raise ValueError(f"{name} {getattr(self, name)} is past the vector "
-                                 f"chain cap {MAX_VECTOR_DEPTH}")
+        for name, cap, bound in (("recon_alpha", "vector chain cap", MAX_VECTOR_DEPTH),
+                                 ("val_alpha", "vector chain cap", MAX_VECTOR_DEPTH),
+                                 ("rows", _MATRIX_CAP, MAX_MATRIX_ROWS),
+                                 ("oracle_n_max", "oracle cap ORACLE_CAP =", ORACLE_CAP)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} {getattr(self, name)} is past the {cap} {bound}")
 
 
 def load_config_file(path):
@@ -158,7 +167,7 @@ def cmd_expand(args, config):
                 f"MAX_EXPAND_WORK = {MAX_EXPAND_WORK}")
         series = expand_spec(spec, order)
         lo = min(series.lead, 0) if not series.is_zero else 0
-        pairs = [(n, series.coefficient(n)) for n in range(lo, order + 1)]
+        pairs = list(enumerate(series.coefficients(lo, order), lo))
         if config.format == "json":
             payload = {"expression": spec.render(), "order": order,
                        "coefficients": [[n, str(c)] for n, c in pairs]}
@@ -259,9 +268,10 @@ def cmd_dump(args, config):
         depth = 9 if args.what == "matrix" else 4
     if depth < 1:
         raise ValueError(f"--depth must be a positive integer, got {depth!r}")
-    if args.what == "vectors" and depth > MAX_VECTOR_DEPTH:
-        raise ValueError(f"--depth {depth} is past the vector chain cap "
-                         f"{MAX_VECTOR_DEPTH}")
+    cap, bound = ((_MATRIX_CAP, MAX_MATRIX_ROWS) if args.what == "matrix"
+                  else ("vector chain cap", MAX_VECTOR_DEPTH))
+    if depth > bound:
+        raise ValueError(f"--depth {depth} is past the {cap} {bound}")
     if args.what == "matrix":
         table = MatrixTable(depth)
         rows = [table.row(i) for i in range(1, depth + 1)]

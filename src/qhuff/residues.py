@@ -2,12 +2,14 @@
 
 Every expansion runs one plan of stages through :func:`_expand`.  The
 constant starts the run; each stage then multiplies it by, or divides it
-by, f_k^p for one factor of the spec: first every positive factor,
-sparsest first, then every negative one.  f_k^|e| is planned as |e| // 3
+by, f_k^p for one factor of the spec: first every multiplication,
+sparsest first, then every division.  f_k^|e| is planned as |e| // 3
 Jacobi cubes, f_k^3 = sum over j >= 0 of (-1)^j (2j+1) q^(k j(j+1)/2),
-each sparser than one f_k, and |e| mod 3 single f_k; when that many
-sparse steps cost more than squaring, as one ``Series.power`` stage.  A
-factor f_k with k past the working order is 1 there and is left out.
+each sparser than one f_k, and |e| mod 3 single f_k, except that
+f_k^-(3q+2) = f_k / (f_k^3)^(q+1) multiplies by f_k and divides by q + 1
+cubes; when that many sparse steps cost more than squaring, f_k^|e| is
+one ``Series.power`` stage.  A factor f_k with k past the working order
+is 1 there and is left out.
 
 It also returns the plan's state: the plan, and the outputs of every
 stage but two, the last, whose outputs the series holds, and a first
@@ -17,8 +19,9 @@ cheap, and resumes every stage where it stopped: a multiplication
 computes its new outputs from its input's outputs, a division from its
 own earlier ones.  No stored coefficient is computed again.
 
-Two routes share the plan; the kernels, the divisors and the stage
-encoding differ.
+Two routes share the plan (:func:`_plan`); the kernels, the divisors and
+the stage encoding differ, and so does the plan where a cube does not fit
+a residue slot.
 
 - Exact (:func:`expand_exact`, behind ``eta.expand_spec`` and every exact
   ``SeriesCache`` key) multiplies with ``series._mul_core`` and divides
@@ -47,12 +50,10 @@ encoding differ.
   the bytes.  A Jacobi cube's weight grows as about 2n/k through q^n, past
   2^64 / modulus near 1.8e5 coefficients for f1 mod
   ``verify.CLAIM_MODULUS`` and near 5000 mod 3^32; f_k's grows as about
-  1.6 sqrt(n/k).  So where the cube fits, f_k^-3q divides by q cubes,
-  f_k^-(3q+1) by q cubes and f_k, and f_k^-(3q+2) by q + 1 cubes with f_k
-  joining the numerator (f_k^-2 = f_k / f_k^3); elsewhere f_k divides
-  once per unit of exponent.  A stored plan whose cubes stop fitting at a
-  wider order is dropped, and the series is expanded again from q^0 by
-  single f_k.
+  1.6 sqrt(n/k).  So f_k^-|e| divides by cubes only where the cube fits;
+  elsewhere f_k divides once per unit of exponent.  A stored plan whose
+  cubes stop fitting at a wider order is dropped, and the series is
+  expanded again from q^0 by single f_k.
 
 The verify layer and ``eta.expand_spec`` import this module on first use,
 so ``import qhuff`` does not load it.
@@ -285,16 +286,6 @@ def div_residues(num, den, length, modulus, packed=None):
     return out
 
 
-def _run(series, lo, hi):
-    """Coefficients of q^lo..q^hi of ``series``, zeros included."""
-    out = [0] * (hi - lo + 1)
-    a = max(series.lead, lo)
-    b = min(series.lead + len(series.coeffs), hi + 1)
-    if a < b:
-        out[a - lo: b - lo] = series.coeffs[a - series.lead: b - series.lead]
-    return out
-
-
 def _pack_block(values):
     """``values`` as an ``array`` of the narrowest signed typecode that holds
     them all, or past 64 bits as (width, data): each value signed and
@@ -379,20 +370,8 @@ def _powered(k, e, inner):
     return cubes * _cube_terms(inner // k) > (inner + 1) * cubes.bit_length()
 
 
-def _split(k, e, inner):
-    """The exponents p of the f_k^p whose product is f_k^|e| through q^inner.
-
-    3 for each Jacobi cube and 1 for each other f_k, or |e| alone when
-    :func:`_powered`.
-    """
-    if _powered(k, e, inner):
-        return [abs(e)]
-    cubes, rest = divmod(abs(e), 3)
-    return [3] * cubes + [1] * rest
-
-
 def _eta_power(k, p, inner):
-    """f_k^p through q^inner, for a p that :func:`_split` gives."""
+    """f_k^p through q^inner, for a p > 0 of a stage that :func:`_plan` gives."""
     if p == 1:
         return expand_eta(k, inner)
     acc = jacobi_cube(k, inner)
@@ -407,13 +386,28 @@ def _terms(coeffs):
     return len(coeffs) - coeffs.count(0)
 
 
-def _exact_plan(factors, inner):
-    """The stages (k, p) of f_k^e for each (k, e) of ``factors``, by :func:`_split`.
+def _plan(factors, inner, fits):
+    """The stages (k, p) of f_k^e for each (k, e) of ``factors``.
 
     A stage multiplies by f_k^p when p > 0 and divides by f_k^-p otherwise.
+    f_k^e is one stage when :func:`_powered`, and else |e| // 3 Jacobi cubes
+    and |e| mod 3 single f_k, except that a divisor takes cubes only where
+    ``fits(k, inner)``, and f_k^-(3q+2) = f_k / (f_k^3)^(q+1).  A divisor
+    whose cube does not fit is one f_k per unit of exponent.
     """
-    return [(k, p if e > 0 else -p) for k, e in factors.items()
-            for p in _split(k, e, inner)]
+    plan = []
+    for k, e in factors.items():
+        cubes, rest = divmod(abs(e), 3)
+        if _powered(k, e, inner):
+            plan.append((k, e))
+        elif e > 0:
+            plan += [(k, 3)] * cubes + [(k, 1)] * rest
+        elif fits(k, inner):
+            up = rest // 2
+            plan += [(k, 1)] * up + [(k, -3)] * (cubes + up) + [(k, -1)] * (rest % 2)
+        else:
+            plan += [(k, -1)] * -e
+    return plan
 
 
 def expand_passes(spec, order):
@@ -427,7 +421,7 @@ def expand_passes(spec, order):
     """
     inner = order - spec.qshift
     passes = 0
-    for _, p in _exact_plan({k: e for k, e in spec.factors.items() if k <= inner}, inner):
+    for _, p in _plan({k: e for k, e in spec.factors.items() if k <= inner}, inner, _Exact.fits):
         cubes, rest = divmod(abs(p), 3)
         if abs(p) <= 3:
             passes += 1
@@ -439,7 +433,7 @@ def expand_passes(spec, order):
 class _Exact:
     """The exact route: stages are lists while they run, kept packed signed."""
 
-    plan = staticmethod(_exact_plan)
+    fits = staticmethod(lambda k, inner: True)  # exact stages have no slots
     divide = staticmethod(_recip_core)
     open = staticmethod(unpack_stage)
     close = staticmethod(pack_stage)
@@ -480,22 +474,6 @@ class _Residues:
     def fits(self, k, inner):
         """Whether :func:`div_residues` takes f_k^3 through q^inner (see :func:`_cube_weight`)."""
         return (_cube_weight(k, inner) + 1) * self.modulus <= _SLOT_LIMIT
-
-    def plan(self, factors, inner):
-        """The stages of ``factors``: positive ones as exactly, negative by the cube rule."""
-        plan = []
-        for k, e in factors.items():
-            if e > 0:
-                plan += _exact_plan({k: e}, inner)
-            elif e == -1 or not self.fits(k, inner):
-                plan += [(k, -1)] * -e
-            else:
-                cubes, rest = divmod(-e, 3)
-                if rest == 2:  # f_k^-(3q+2) = f_k / (f_k^3)^(q+1)
-                    plan.append((k, 1))
-                    cubes, rest = cubes + 1, 0
-                plan += [(k, -3)] * cubes + [(k, -1)] * rest
-        return plan
 
     @staticmethod
     def start(run, multiply):
@@ -549,10 +527,10 @@ def _expand(spec, order, route, prior=None, keep=True):
     plan, stages, last = (), (), []
     if prior is not None:
         old, (plan, stages) = prior
-        last = _run(old, spec.qshift, int(old.valid_to))
+        last = old.coefficients(spec.qshift, old.valid_to)
     planned = {k for k, _ in plan}
-    added = route.plan({k: e for k, e in spec.factors.items()
-                        if k <= inner and k not in planned}, inner)
+    added = _plan({k: e for k, e in spec.factors.items()
+                   if k <= inner and k not in planned}, inner, route.fits)
     ups = [kp for kp in added if kp[1] > 0]
     parts = {kp: _eta_power(*kp, inner).coeffs for kp in ups}
     plan += tuple(sorted(ups, key=lambda kp: _terms(parts[kp])))

@@ -220,9 +220,22 @@ class Series:
             return self.coeffs[i]
         return 0
 
-    def coefficients(self, lo, hi):
-        """Coefficients of q^lo .. q^hi inclusive as a list."""
-        return [self.coefficient(n) for n in range(lo, hi + 1)]
+    def coefficients(self, lo, hi, step=1):
+        """Coefficients of q^lo, q^(lo+step), ... through q^hi as a list.
+
+        One check against ``valid_to`` (the error names the first exponent
+        past it, as :meth:`coefficient` does) and one slice of the stored
+        run; exponents before the lead or after the run read 0.
+        """
+        count = max((hi - lo) // step + 1, 0)
+        if count and lo + step * (count - 1) > self.valid_to:
+            self.coefficient(lo + step * max((self.valid_to - lo) // step + 1, 0))
+        skip = min(max(-((lo - self.lead) // step), 0), count)  # those before the lead
+        if skip == count:
+            return [0] * count
+        i = lo + step * skip - self.lead
+        run = list(self.coeffs[i: i + step * (count - skip - 1) + 1: step])
+        return [0] * skip + run + [0] * (count - skip - len(run))
 
     def equal_up_to(self, other, n):
         """Exact agreement of all coefficients up to exponent n."""
@@ -233,10 +246,7 @@ class Series:
         leads = [s.lead for s in (self, other) if not s.is_zero]
         if not leads:
             return True
-        for e in range(min(leads), n + 1):
-            if self.coefficient(e) != other.coefficient(e):
-                return False
-        return True
+        return self.coefficients(min(leads), n) == other.coefficients(min(leads), n)
 
     def __eq__(self, other):
         if not isinstance(other, Series):

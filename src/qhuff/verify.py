@@ -423,24 +423,6 @@ def _residue_cap(claim, modulus):
     return cap
 
 
-def _progression(series, stride, offset, n_max):
-    """The coefficients of q^(stride*n + offset) for 0 <= n <= n_max.
-
-    One check against ``valid_to`` (the error names the first exponent
-    past it, as ``Series.coefficient`` does) and one slice of the stored
-    run; exponents before the lead or after the run read 0.
-    """
-    if stride * n_max + offset > series.valid_to:
-        first = max((series.valid_to - offset) // stride + 1, 0)
-        series.coefficient(stride * first + offset)
-    skip = max(-((offset - series.lead) // stride), 0)  # those before the lead
-    if skip > n_max:
-        return [0] * (n_max + 1)
-    i = stride * skip + offset - series.lead
-    run = list(series.coeffs[i: i + stride * (n_max - skip) + 1: stride])
-    return [0] * skip + run + [0] * (n_max + 1 - skip - len(run))
-
-
 def _scan(claim, n_max, series, cap=None):
     """The claim's report from the coefficients of ``series``.
 
@@ -450,7 +432,8 @@ def _scan(claim, n_max, series, cap=None):
     """
     started = time.perf_counter()
     base, modulus = claim.modulus_base, claim.modulus
-    coeffs = _progression(series, claim.stride, claim.offset, n_max)
+    top = claim.stride * n_max + claim.offset
+    coeffs = series.coefficients(claim.offset, top, claim.stride)
     failures = [n for n, c in enumerate(coeffs) if c % modulus] if modulus > 1 else []
     # Only a nonzero c that floor does not divide can lower min_val.
     min_val, floor = (INF, None) if cap is None else (AtLeast(cap), base ** cap)
@@ -581,10 +564,9 @@ def congruent_up_to(a, b, modulus, order):
     leads = [s.lead for s in (a, b) if not s.is_zero]
     if not leads:
         return True
-    for e in range(min(leads), order + 1):
-        if (a.coefficient(e) - b.coefficient(e)) % modulus:
-            return False
-    return True
+    lo = min(leads)
+    return not any((x - y) % modulus for x, y in zip(a.coefficients(lo, order),
+                                                      b.coefficients(lo, order)))
 
 
 def _progression_series(cache, family, stride, offset, order):
@@ -666,9 +648,8 @@ def oracle_suite(n_max=40, cache=None):
     cache = cache or SeriesCache()
     report = SuiteReport("oracle")
     for name in FAMILIES:
-        series = cache.family(name, n_max)
-        bad = [n for n in range(n_max + 1)
-               if series.coefficient(n) != oracle_count(name, n, cap=n_max)]
+        counts = cache.family(name, n_max).coefficients(0, n_max)
+        bad = [n for n, c in enumerate(counts) if c != oracle_count(name, n)]
         detail = f"mismatches at {bad}" if bad else f"n <= {n_max}"
         report.items.append(ItemReport(f"{name} counts", not bad, detail))
     return report

@@ -2,13 +2,14 @@ import io
 import json
 import re
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhuff import cli, vectors
+from qhuff import cli, matrices, vectors, verify
 from qhuff.eta import (MAX_DIGITS, MAX_NESTING, NonIntegerConstant,
                        QuotientSyntaxError, parse)
 from qhuff.matrices import ZeroPatternViolation
@@ -275,6 +276,69 @@ def test_config_chain_depth_at_cap_accepted(tmp_path):
                     f"recon_alpha = {cli.MAX_VECTOR_DEPTH}\n")
     config = cli.make_config(argparse.Namespace(config=str(conf)))
     assert config.val_alpha == config.recon_alpha == cli.MAX_VECTOR_DEPTH
+
+
+def test_config_oracle_past_cap_exits_2(capsys, monkeypatch, tmp_path):
+    def no_oracle(family, n, cap=verify.ORACLE_CAP):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(verify, "oracle_count", no_oracle)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"oracle_n_max = {verify.ORACLE_CAP + 1}\n")
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "verify", "identities", "--config", str(conf))
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and not out
+    assert err.startswith(f"error: oracle_n_max {verify.ORACLE_CAP + 1} ")
+    assert f"ORACLE_CAP = {verify.ORACLE_CAP}" in err
+
+
+def test_config_oracle_at_cap_accepted(tmp_path):
+    import argparse
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"oracle_n_max = {verify.ORACLE_CAP}\n")
+    config = cli.make_config(argparse.Namespace(config=str(conf)))
+    assert config.oracle_n_max == verify.ORACLE_CAP
+    assert verify.oracle_suite(config.oracle_n_max).passed
+
+
+def _no_table(rows):
+    raise AssertionError("a table was built")
+
+
+@pytest.mark.parametrize("argv", [["verify", "matrix", "--rows"], ["dump", "matrix", "--depth"]])
+def test_matrix_rows_past_cap_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(matrices, "MatrixTable", _no_table)
+    started = time.perf_counter()
+    rc, out, err = run(capsys, *argv, str(cli.MAX_MATRIX_ROWS + 1))
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and not out
+    assert f"{cli.MAX_MATRIX_ROWS + 1} is past the matrix row cap " \
+           f"MAX_MATRIX_ROWS = {cli.MAX_MATRIX_ROWS}" in err
+
+
+def test_matrix_rows_at_cap_accepted(capsys, monkeypatch):
+    built = []
+
+    class CountingTable:
+        def __init__(self, rows):
+            built.append(rows)
+
+        def row(self, i):
+            return [i]
+
+    def fake_suite(rows):
+        built.append(rows)
+        return SuiteReport("matrix")
+
+    monkeypatch.setattr(matrices, "MatrixTable", CountingTable)
+    monkeypatch.setattr(cli, "matrix_suite", fake_suite)
+    top = str(cli.MAX_MATRIX_ROWS)
+    rc, out, _ = run(capsys, "dump", "matrix", "--depth", top, "--format", "csv")
+    assert rc == 0 and out.splitlines()[-1] == f"{top},{top}"
+    rc, _, _ = run(capsys, "verify", "matrix", "--rows", top)
+    assert rc == 0
+    assert built == [cli.MAX_MATRIX_ROWS] * 2
 
 
 def test_config_file_precedence(capsys, tmp_path):

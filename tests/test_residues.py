@@ -204,6 +204,43 @@ def test_residue_and_exact_widenings_of_random_quotients_match_cold(quotient, mo
             [c % modulus for c in exact.coefficients(lo, order)], order
 
 
+@settings(max_examples=60, deadline=None)
+@given(quotients(), st.sampled_from((M32, CLAIM_MODULUS, 2 ** 54, 2 ** 58)))
+@example((EtaQuotientSpec(1, 0, {1: -5, 2: 3, 3: -2}), [400]), M32)
+@example((EtaQuotientSpec(1, 0, {1: -5, 2: 3, 3: -2}), [400]), 2 ** 58)
+def test_residue_and_exact_plans_agree_where_every_cube_fits(quotient, modulus):
+    # Both routes plan in residues._plan.  Their plans are equal when every
+    # cube of a divisor fits the residue slots; a divisor whose cube does
+    # not fit divides by f_k once per unit of exponent on the residue route
+    # alone.  Mod 2^58 the cube of f1 fits only through q^65, of f2 through q^89.
+    spec, orders = quotient
+    order = orders[-1]
+    _, exact = expand_exact(spec, order)
+    _, reduced = expand_spec_residues(spec, order, modulus)
+    if exact is None or reduced is None:  # no factor, or 1/f_k^60 reduced from exact
+        return
+    inner = order - spec.qshift
+    fits = residues._Residues(modulus).fits
+    unfit = {k for k, e in spec.factors.items() if k <= inner and e < 0 and not fits(k, inner)}
+    assert [kp for kp in reduced[0] if kp[0] not in unfit] == \
+        [kp for kp in exact[0] if kp[0] not in unfit]
+    for k in unfit:
+        assert [kp for kp in reduced[0] if kp[0] == k] == [(k, -1)] * -spec.factors[k]
+
+
+# A stage by f_k, a Jacobi cube or f_k^p takes one pass; one raised by
+# squaring, one per coefficient for each squaring and multiplication.
+# f_k^-(3q+2) multiplies by f_k and divides by q + 1 cubes: q + 2 passes,
+# as many as dividing by q cubes and f_k twice.
+@pytest.mark.parametrize("text, order, passes", [
+    ("1/f1^2", 100, 2), ("1/f2^2", 30, 2), ("1/f1^5", 1000, 3), ("1/f2^5", 100, 3),
+    ("1/f1^8", 1000, 4), ("1/f2^8", 30, 4), ("f2^4/(q*f1^5*f3)", 600, 6),
+    ("1/f1^60", 30, 186), ("1/f1^60", 100, 20), ("1/f1^2147483647", 30, 1395),
+])
+def test_expand_passes_pinned(text, order, passes):
+    assert residues.expand_passes(parse(text), order) == passes
+
+
 def test_residue_kernel_slot_guard():
     # One packed term of weight 1: slots stay below (1 + 1) * modulus, at
     # most 2^64.
@@ -356,19 +393,19 @@ def test_exact_widening_divides_only_new_coefficients(monkeypatch):
 
     monkeypatch.setattr(residues._Exact, "divide", staticmethod(divide))
     monkeypatch.setattr(residues._Exact, "multiply", staticmethod(counted_multiply))
-    # f2^4 multiplies by a Jacobi cube and f2, the first of which is the
-    # factor itself and is not multiplied; f1^5 and f3 divide by a cube, f1
-    # twice and f3.
+    # f2^4 multiplies by a Jacobi cube and f2, and f1^-5 = f1 / (f1^3)^2
+    # by f1; the first of these is the factor itself and is not multiplied.
+    # f1^-5 then divides by two cubes, and f3^-1 by f3.
     spec = parse("f2^4/(q*f1^5*f3)")
     cache = SeriesCache()
     cache.spec(spec, 600)  # q^-1 through q^600: 602 coefficients
-    assert multiplied == [(0, 602)]
-    assert divided == [(0, 602)] * 4
+    assert multiplied == [(0, 602)] * 2
+    assert divided == [(0, 602)] * 3
     multiplied.clear()
     divided.clear()
     cache.spec(spec, 1100)
-    assert multiplied == [(602, 500)]
-    assert divided == [(602, 500)] * 4
+    assert multiplied == [(602, 500)] * 2
+    assert divided == [(602, 500)] * 3
     assert cache.stats["discarded_coeffs"] == 0
     plan, stages = cache._states[spec.render()]
     assert len(plan) == 6 and len(stages) == 4  # neither the first nor the last

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhuff.series import INF, BeyondValidity, NonUnitLead, Series, _mul_core
@@ -60,6 +60,37 @@ def test_equal_up_to_respects_bounds():
     assert a.equal_up_to(b, 5)
     with pytest.raises(BeyondValidity):
         a.equal_up_to(b, 6)
+
+
+def _read_per_index(series, lo, hi, step):
+    """``coefficients`` read one ``coefficient`` call per exponent, or the error text."""
+    try:
+        return [series.coefficient(n) for n in range(lo, hi + 1, step)]
+    except BeyondValidity as exc:
+        return str(exc)
+
+
+def _read_run(series, lo, hi, step):
+    try:
+        return series.coefficients(lo, hi, step)
+    except BeyondValidity as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-20, 20), st.lists(st.integers(-9, 9), max_size=30),
+       st.none() | st.integers(-5, 15), st.integers(-40, 60), st.integers(-45, 70),
+       st.integers(1, 12))
+@example(0, [], None, -7, 40, 3)       # the zero series, valid everywhere
+@example(-6, [1, 2, 3], 0, -30, -9, 4)  # the whole run before the lead
+@example(5, [1, 0, 2], 2, 9, 3, 1)      # hi < lo reads nothing, even past valid_to
+@example(-3, [4, 5, 6], 0, -10, 30, 7)  # hi past valid_to
+def test_coefficients_match_per_index_reads(lead, coeffs, extra, lo, hi, step):
+    # ``extra`` None gives an infinite bound; otherwise up to 15 known
+    # zeros follow the run, or the bound cuts it (extra < 0).
+    valid_to = INF if extra is None else lead + len(coeffs) - 1 + extra
+    series = Series(lead, coeffs, valid_to)
+    assert _read_run(series, lo, hi, step) == _read_per_index(series, lo, hi, step)
 
 
 def test_structural_equality_and_unhashable():

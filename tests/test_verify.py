@@ -533,6 +533,31 @@ def test_congruent_up_to(cache):
         congruent_up_to(f1, f3, 3, 61)
 
 
+def _congruent_per_index(a, b, modulus, order):
+    """``congruent_up_to`` read one ``coefficient`` call per exponent, or the error type."""
+    if order > a.valid_to or order > b.valid_to:
+        return BeyondValidity
+    leads = [s.lead for s in (a, b) if not s.is_zero]
+    return all((a.coefficient(e) - b.coefficient(e)) % modulus == 0
+               for e in range(min(leads, default=order + 1), order + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-8, 8), st.lists(st.integers(-20, 20), max_size=15), st.integers(0, 6),
+       st.integers(-8, 8), st.lists(st.integers(-20, 20), max_size=15), st.integers(0, 6),
+       st.integers(1, 9), st.integers(-10, 25))
+@example(-3, [2], 9, 2, [5, 0, 3], 9, 3, 6)  # leads apart, congruent mod 3
+def test_congruent_up_to_matches_per_index(lead_a, run_a, extra_a, lead_b, run_b, extra_b,
+                                           modulus, order):
+    a = Series(lead_a, run_a, lead_a + len(run_a) + extra_a)
+    b = Series(lead_b, run_b, lead_b + len(run_b) + extra_b)
+    try:
+        got = congruent_up_to(a, b, modulus, order)
+    except BeyondValidity:
+        got = BeyondValidity
+    assert got == _congruent_per_index(a, b, modulus, order)
+
+
 def test_theorem_suite_small(cache):
     report = theorem_suite(3000, cache=cache)
     assert report.suite == "theorems"
