@@ -33,13 +33,17 @@ a residue slot.
   benchmark's request quotients at 3000 coefficients), and as Python
   ints they take about ten times the memory.
 - Residues (:func:`expand_spec_residues`, a :class:`Reduced` spec) keep
-  every coefficient in [0, modulus).  Every congruence claim reads these:
-  a claim mod b^k is decided by the coefficients mod any multiple of b^k,
-  and residues below 2^51 divide far faster than exact integers of
-  hundreds of bits.  A division stage is its packed 64-bit slots; a
-  multiplication stage is kept as the exact route keeps its stages, each
-  residue first moved into (-modulus/2, modulus/2], so that the small
-  coefficients of products of f_k pack into a byte or two.
+  every coefficient in [0, modulus), modulus at most 2^64.  Every
+  congruence claim reads these: a claim mod b^k is decided by the
+  coefficients mod any multiple of b^k, and residues below 2^51 divide far
+  faster than exact integers of hundreds of bits.  A division stage is its
+  packed 64-bit slots, and the series holds its run in 64-bit slots too,
+  an ``array('Q')``, read from the last stage when that divides: 8 bytes a
+  coefficient, against about 40 as a Python int, in the series, a
+  ``SeriesCache`` entry and a worker's pickled reply.  A multiplication
+  stage is kept as the exact route keeps its stages, each residue first
+  moved into (-modulus/2, modulus/2], so that the small coefficients of
+  products of f_k pack into a byte or two.
   :func:`div_residues` adds each window of earlier outputs it reads, times
   its divisor coefficient, into the slots, so a slot stays below
   (weight + 1) * modulus, the weight being the summed magnitudes of those
@@ -91,8 +95,9 @@ def _packed(values):
 
 
 def _slots(data):
-    """The 64-bit slots of little-endian bytes, as an ``array``."""
-    slots = array("Q", data)
+    """The 64-bit slots of little-endian bytes (any buffer), as an ``array``."""
+    slots = array("Q")
+    slots.frombytes(data)
     if sys.byteorder == "big":
         slots.byteswap()
     return slots
@@ -189,8 +194,9 @@ def div_residues(num, den, length, modulus, packed=None):
     """Residues in [0, modulus) of the coefficients of num/den mod q^length.
 
     ``den[0]`` must be +1 or -1; ``num`` and the rest of ``den`` may hold
-    any integers.  The outputs are also kept packed, one little-endian
-    64-bit slot each, in the bytearray ``packed``.  A divisor term c q^e
+    any integers.  The outputs are kept packed, one little-endian 64-bit
+    slot each, in the bytearray ``packed``, and returned as an
+    ``array('Q')`` read from it.  A divisor term c q^e
     with e at least _BLOCK updates a whole block of outputs at once, one
     from _SUB up a sub-block, by adding |c| times the window of earlier
     outputs it reads as one int (see :func:`_window_sum`).  Every slot
@@ -202,7 +208,8 @@ def div_residues(num, den, length, modulus, packed=None):
     (see :func:`_far_windows`), so a far window is one shift and one mask
     of an int that exists; a sub-block's windows are read from the bytes.
     Each sub-block is unpacked once, and the terms below _SUB run on its
-    coefficients one at a time, with % modulus.
+    coefficients one at a time, with % modulus, reading the last _SUB - 1
+    outputs from a list at negative offsets, zeros before out[0].
 
     A division resumes where an earlier call stopped: ``packed`` may hold
     the packed outputs 0..start-1 of that call, and is extended in place
@@ -214,7 +221,7 @@ def div_residues(num, den, length, modulus, packed=None):
         packed = bytearray()
     start = len(packed) // 8
     if length <= start:
-        return []
+        return array("Q")
     sign = den[0]
     num = num if sign == 1 else [-c for c in num]
     near = []
@@ -230,17 +237,18 @@ def div_residues(num, den, length, modulus, packed=None):
         raise OverflowError(f"packed divisor weight {weight} at modulus {modulus} "
                             f"overflows a 64-bit slot")
     mid, far = tuple(map(_window_terms, mid)), tuple(map(_window_terms, far))
-    near_sub = [e for e, c in near if c == 1]
-    near_add = [e for e, c in near if c == -1]
+    near_sub = [-e for e, c in near if c == 1]
+    near_add = [-e for e, c in near if c == -1]
+    near = [(-e, c) for e, c in near]
     # A unit divisor (every f_k) reads its windows and near terms without
     # multiplying by 1: through the weighted path alone, dividing by f1
     # and f2 through 30001 coefficients mod 3^32 took 25% longer, and so
     # did a `ladder` pass, which divides by nothing else.
     near_units = len(near_sub) + len(near_add) == len(near)
-    # Only the last _SUB - 1 earlier outputs are read one at a time.
+    # The near terms read the last _SUB - 1 outputs at negative offsets;
+    # those before out[0] read 0.
     tail = max(start - _SUB + 1, 0)
-    out = [0] * tail + list(_slots(packed[8 * tail:]))
-    out += [0] * (length - start)
+    recent = [0] * (_SUB - 1 - start + tail) + list(_slots(packed[8 * tail:]))
     packed += bytes(8 * (length - start))
     with memoryview(packed) as view:
         pairs = []
@@ -260,30 +268,22 @@ def div_residues(num, den, length, modulus, packed=None):
                 vals = _slots(_window_sum(_windows, view, mid, s, t, acc, modulus)
                               .to_bytes(8 * (t - s), "little"))
                 if near_units:
-                    for n in range(s, t):
-                        v = vals[n - s]
-                        for e in near_sub:
-                            if e > n:
-                                break
-                            v -= out[n - e]
-                        for e in near_add:
-                            if e > n:
-                                break
-                            v += out[n - e]
-                        out[n] = v % modulus
+                    for v in vals:
+                        for i in near_sub:
+                            v -= recent[i]
+                        for i in near_add:
+                            v += recent[i]
+                        recent.append(v % modulus)
                 else:
-                    for n in range(s, t):
-                        v = vals[n - s]
-                        for e, c in near:
-                            if e > n:
-                                break
-                            v -= c * out[n - e]
-                        out[n] = v % modulus
-                view[8 * s: 8 * t] = _packed(out[s:t])
+                    for v in vals:
+                        for i, c in near:
+                            v -= c * recent[i]
+                        recent.append(v % modulus)
+                view[8 * s: 8 * t] = _packed(recent[_SUB - 1:])
+                del recent[:t - s]
             if hi == edge + _BLOCK:
                 _add_block(pairs, view, edge)
-    del out[:start]
-    return out
+        return _slots(view[8 * start:])
 
 
 def _pack_block(values):
@@ -451,6 +451,10 @@ class _Exact:
         return run
 
     @staticmethod
+    def whole(last, run, stage):
+        return last + run
+
+    @staticmethod
     def multiply(values, part, length, stage):
         run = _mul_core(values, part, length, len(stage))
         stage += run
@@ -465,7 +469,8 @@ class _Residues:
     when reopened, so a stored state never changes.  A multiplication
     stage is a list while it runs and is kept by :func:`pack_stage`, each
     residue moved into (-modulus/2, modulus/2] first: products of f_k have
-    small coefficients, which then pack into a byte or two.
+    small coefficients, which then pack into a byte or two.  The series'
+    run is an ``array('Q')``: the last stage's slots when it divides.
     """
 
     def __init__(self, modulus):
@@ -495,6 +500,13 @@ class _Residues:
 
     def reduce(self, run):
         return [c % self.modulus for c in run]
+
+    @staticmethod
+    def whole(last, run, stage):
+        """The series' run in 64-bit slots; a last division's stage holds all of it."""
+        if isinstance(stage, bytearray):
+            return _slots(stage) if last else run
+        return array("Q", last + run)
 
     def multiply(self, values, part, length, stage):
         run = self.reduce(_mul_core(values, part, length, len(stage)))
@@ -536,7 +548,8 @@ def _expand(spec, order, route, prior=None, keep=True):
     plan += tuple(sorted(ups, key=lambda kp: _terms(parts[kp])))
     plan += tuple(kp for kp in added if kp[1] < 0)
     if not plan:
-        return Series(spec.qshift, route.reduce([spec.constant]) + [0] * inner, order), None
+        run = route.whole([], route.reduce([spec.constant]), None)
+        return Series(spec.qshift, run, order), None
     k, p = plan[0]
     key = (k, abs(p))
     part = parts.pop(key, None) or _eta_power(*key, inner).coeffs
@@ -547,7 +560,7 @@ def _expand(spec, order, route, prior=None, keep=True):
         values += [0] * (length - len(values))
     values = route.reduce(values)
     run = values[len(last):]
-    kept = []
+    kept, stage = [], None
     for i in range(first, len(plan)):
         k, p = plan[i]
         if (k, abs(p)) != key:  # a factor's repeats come in a row
@@ -564,12 +577,18 @@ def _expand(spec, order, route, prior=None, keep=True):
         if keep and i < len(plan) - 1:
             kept.append(route.close(stage))
     state = (plan, tuple(kept)) if keep else None
-    return Series(spec.qshift, last + run, order), state
+    return Series(spec.qshift, route.whole(last, run, stage), order), state
 
 
 def _check_order(spec, order):
     if order < spec.qshift:
         raise ValueError(f"order {order} is below the q-shift {spec.qshift}")
+
+
+def _check_modulus(modulus):
+    if modulus > _SLOT_LIMIT:
+        raise ValueError(f"modulus {modulus} exceeds 2**64: its residues do not fit "
+                         f"a 64-bit slot")
 
 
 def expand_exact(spec, order, prior=None, keep=True):
@@ -592,16 +611,18 @@ def expand_spec_residues(spec, order, modulus, prior=None):
     plan no longer fits the slots at ``order``: then the prior is dropped.
     A divisor f_k^|e| that :func:`_powered` would raise by squaring is too
     costly in sparse steps: then the exact series is reduced, and no state
-    is returned.
+    is returned.  Either way the series holds its run in 64-bit slots, so
+    a ``modulus`` past 2^64 is refused with a ValueError.
     """
     _check_order(spec, order)
+    _check_modulus(modulus)
     if spec.constant % modulus == 0:
         return Series(0, (), order), None
     inner = order - spec.qshift
     if any(e < 0 and k <= inner and _powered(k, e, inner)
            for k, e in spec.factors.items()):
         exact, _ = expand_exact(spec, order, keep=False)
-        return Series(exact.lead, [c % modulus for c in exact.coeffs], order), None
+        return Series(exact.lead, array("Q", [c % modulus for c in exact.coeffs]), order), None
     route = _Residues(modulus)
     if prior is not None and not all(route.fits(k, inner) for k, p in prior[1][0] if p == -3):
         prior = None
@@ -613,11 +634,16 @@ class Reduced:
     """An eta quotient whose coefficients are wanted modulo ``modulus``.
 
     It renders to a text no exact spec renders to, so a cache keyed by
-    ``render()`` never hands an exact lookup its residues.
+    ``render()`` never hands an exact lookup its residues.  A modulus past
+    2^64, whose residues do not fit a 64-bit slot, is refused with a
+    ValueError.
     """
 
     spec: EtaQuotientSpec
     modulus: int
+
+    def __post_init__(self):
+        _check_modulus(self.modulus)
 
     def render(self):
         return f"({self.spec.render()}) mod {self.modulus}"

@@ -7,12 +7,14 @@ known zeros; nothing at all is known past ``valid_to``.  Every operation
 propagates the bound conservatively, so a coefficient can only ever be read
 when the inputs actually determine it.
 
-Coefficients are plain ``int`` and grow without bound.  Instances are
+Coefficients read as plain ``int`` and grow without bound; a residue
+series holds its run in 64-bit slots, an ``array('Q')``.  Instances are
 immutable and safe to share between pipelines.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import compress, islice
 
@@ -157,25 +159,26 @@ def _recip_core(num, den, length, out=None):
 class Series:
     """Truncated Laurent series in canonical form.
 
-    ``coeffs[i]`` holds the coefficient of ``q**(lead + i)``.  The lead
-    coefficient is nonzero unless the series is zero (empty run), and no
-    coefficient is stored past ``valid_to``.  The additive zero built by
-    :meth:`zero` carries an infinite bound; zeros that arise from
-    cancellation keep the finite bound of their inputs.
+    ``coeffs[i]`` holds the coefficient of ``q**(lead + i)``: a tuple, or
+    an ``array`` of 64-bit slots kept as given (a residue series), compared
+    by value either way.  The lead coefficient is nonzero unless the series
+    is zero (empty run), and no coefficient is stored past ``valid_to``.
+    The additive zero built by :meth:`zero` carries an infinite bound;
+    zeros that arise from cancellation keep the finite bound of their
+    inputs.
     """
 
     __slots__ = ("lead", "coeffs", "valid_to")
 
     def __init__(self, lead, coeffs, valid_to):
-        coeffs = list(coeffs)
-        if valid_to != INF:
-            keep = valid_to - lead + 1
-            if keep < len(coeffs):
-                del coeffs[max(keep, 0):]
-        start = 0
-        while start < len(coeffs) and coeffs[start] == 0:
-            start += 1
+        if not isinstance(coeffs, array):  # a packed run is kept as given
+            coeffs = tuple(coeffs)
         end = len(coeffs)
+        if valid_to != INF:
+            end = max(min(end, valid_to - lead + 1), 0)
+        start = 0
+        while start < end and coeffs[start] == 0:
+            start += 1
         while end > start and coeffs[end - 1] == 0:
             end -= 1
         if start == end:
@@ -183,7 +186,7 @@ class Series:
             self.coeffs = ()
         else:
             self.lead = lead + start
-            self.coeffs = tuple(coeffs[start:end])
+            self.coeffs = coeffs if end - start == len(coeffs) else coeffs[start:end]
         self.valid_to = valid_to
 
     # -- constructors -------------------------------------------------
@@ -251,8 +254,10 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.lead == other.lead and self.coeffs == other.coeffs
-                and self.valid_to == other.valid_to)
+        a, b = self.coeffs, other.coeffs
+        if type(a) is not type(b):  # a packed run against a tuple
+            a, b = tuple(a), tuple(b)
+        return self.lead == other.lead and a == b and self.valid_to == other.valid_to
 
     __hash__ = None
 

@@ -28,7 +28,7 @@ __all__ = [
     "CLAIM_MODULUS", "RESIDUE_EXPONENT", "AtLeast", "BudgetExceeded",
     "NonIntegralOffset",
     "CongruenceClaim", "ClaimReport", "ItemReport", "SuiteReport",
-    "SeriesCache", "valuation", "oracle_count",
+    "SeriesCache", "valuation", "oracle_count", "oracle_counts",
     "verify_claim", "theorem_suite", "identity_suite", "oracle_suite",
     "matrix_suite", "vector_suite", "ring_law_suite",
 ]
@@ -123,19 +123,24 @@ _COMPONENTS = {
 }
 
 
-def oracle_count(family, n, cap=ORACLE_CAP):
-    """Count of weight-n objects in the family by direct enumeration."""
+def oracle_counts(family, n_max, cap=ORACLE_CAP):
+    """Counts of weight-0..n_max objects in the family, by one enumeration."""
     if family not in _COMPONENTS:
         raise ValueError(f"unknown family {family!r}")
-    if n < 0:
-        raise ValueError(f"weight {n} must be nonnegative")
-    if n > cap:
-        raise BudgetExceeded(f"oracle weight {n} exceeds the cap {cap}")
+    if n_max < 0:
+        raise ValueError(f"weight {n_max} must be nonnegative")
+    if n_max > cap:
+        raise BudgetExceeded(f"oracle weight {n_max} exceeds the cap {cap}")
     counts = None
     for allowed in _COMPONENTS[family]:
-        comp = _partition_counts(n, allowed)
+        comp = _partition_counts(n_max, allowed)
         counts = comp if counts is None else _conv(counts, comp)
-    return counts[n]
+    return counts
+
+
+def oracle_count(family, n, cap=ORACLE_CAP):
+    """Count of weight-n objects in the family by direct enumeration."""
+    return oracle_counts(family, n, cap)[n]
 
 
 # -- claims --------------------------------------------------------------
@@ -649,7 +654,8 @@ def oracle_suite(n_max=40, cache=None):
     report = SuiteReport("oracle")
     for name in FAMILIES:
         counts = cache.family(name, n_max).coefficients(0, n_max)
-        bad = [n for n, c in enumerate(counts) if c != oracle_count(name, n)]
+        oracle = oracle_counts(name, n_max)
+        bad = [n for n, c in enumerate(counts) if c != oracle[n]]
         detail = f"mismatches at {bad}" if bad else f"n <= {n_max}"
         report.items.append(ItemReport(f"{name} counts", not bad, detail))
     return report

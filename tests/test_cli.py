@@ -279,10 +279,10 @@ def test_config_chain_depth_at_cap_accepted(tmp_path):
 
 
 def test_config_oracle_past_cap_exits_2(capsys, monkeypatch, tmp_path):
-    def no_oracle(family, n, cap=verify.ORACLE_CAP):
+    def no_oracle(family, n_max, cap=verify.ORACLE_CAP):
         raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(verify, "oracle_count", no_oracle)
+    monkeypatch.setattr(verify, "oracle_counts", no_oracle)
     conf = tmp_path / "run.conf"
     conf.write_text(f"oracle_n_max = {verify.ORACLE_CAP + 1}\n")
     started = time.perf_counter()

@@ -1,8 +1,10 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ def test_residue_kernel_matches_exact(k, length):
         exact = _recip_core(n, d, length)
         for modulus in (M32, CLAIM_MODULUS):
             want = [x % modulus for x in exact]
-            assert div_residues(n, d, length, modulus) == want
+            assert list(div_residues(n, d, length, modulus)) == want
 
 
 @st.composite
@@ -62,14 +64,14 @@ def test_resumed_residue_kernel_matches_one_shot(division, modulus):
     # split point and through all of them in turn, gives the one-shot
     # residues, and those are the exact quotient's.
     num, den, length = division
-    whole = div_residues(num, den, length, modulus)
+    whole = list(div_residues(num, den, length, modulus))
     assert whole == [x % modulus for x in _recip_core(num, den, length)]
     splits = [s for s in SPLITS if s < length] + [length]
     for split in splits:
         packed = bytearray()
         head = div_residues(num, den, split, modulus, packed)
         assert len(packed) == 8 * split
-        assert head + div_residues(num[split:], den, length, modulus, packed) == whole
+        assert list(head + div_residues(num[split:], den, length, modulus, packed)) == whole
         assert len(packed) == 8 * length
     packed, got = bytearray(), []
     for split in splits:
@@ -89,12 +91,12 @@ def test_weighted_residue_kernel_resumes_on_cube_divisors(k, modulus):
     num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(length + 2)]
     splits = (31, 32, 33, 511, 512, 513, length)
     for den in (cube, [-c for c in cube]):
-        whole = div_residues(num, den, length, modulus)
+        whole = list(div_residues(num, den, length, modulus))
         assert whole == [x % modulus for x in _recip_core(num, den, length)]
         for split in splits:
             packed = bytearray()
             head = div_residues(num, den, split, modulus, packed)
-            assert head + div_residues(num[split:], den, length, modulus, packed) == whole
+            assert list(head + div_residues(num[split:], den, length, modulus, packed)) == whole
         packed, got = bytearray(), []
         for split in splits:
             got += div_residues(num[len(got):], den, split, modulus, packed)
@@ -119,13 +121,13 @@ def test_residue_far_windows_across_many_blocks(length, k, cube, sign, modulus):
     rng = random.Random(length * k)
     num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(length + 2)]
     whole = bytearray()
-    want = div_residues(num, den, length, modulus, whole)
+    want = list(div_residues(num, den, length, modulus, whole))
     assert want == [x % modulus for x in _recip_core(num, den, length)]
     resumes = [r for r in FAR_RESUMES if r < length]
     for split in resumes:
         packed = bytearray()
         head = div_residues(num, den, split, modulus, packed)
-        assert head + div_residues(num[split:], den, length, modulus, packed) == want
+        assert list(head + div_residues(num[split:], den, length, modulus, packed)) == want
         assert packed == whole
     packed, got = bytearray(), []
     for split in resumes + [length]:
@@ -248,7 +250,7 @@ def test_residue_kernel_slot_guard():
     num = list(range(1, 101))
     for modulus in (2 ** 63, 2 ** 62 + 1):
         want = [x % modulus for x in _recip_core(num, den, 100)]
-        assert div_residues(num, den, 100, modulus) == want
+        assert list(div_residues(num, den, 100, modulus)) == want
     with pytest.raises(OverflowError, match="weight 1 at modulus"):
         div_residues(num, den, 100, 2 ** 63 + 1)
     # The guard sums the magnitudes of both signs: weight 1 + 3 = 4, so
@@ -256,14 +258,15 @@ def test_residue_kernel_slot_guard():
     den = [1] + [0] * 39 + [1] + [0] * 9 + [-3]
     for modulus in (2 ** 64 // 5, 2 ** 61):
         want = [x % modulus for x in _recip_core(num, den, 100)]
-        assert div_residues(num, den, 100, modulus) == want
+        assert list(div_residues(num, den, 100, modulus)) == want
     with pytest.raises(OverflowError, match="weight 4 at modulus"):
         div_residues(num, den, 100, 2 ** 64 // 5 + 1)
     f1 = expand_eta(1, 30000).coeffs
     with pytest.raises(OverflowError, match="64-bit slot"):
         div_residues([1], f1, 30001, 3 ** 39)
     # Terms below the sub-block run one at a time and take any coefficient.
-    assert div_residues([1], [1, 2], 5, M32) == [x % M32 for x in _recip_core([1], [1, 2], 5)]
+    assert list(div_residues([1], [1, 2], 5, M32)) == \
+        [x % M32 for x in _recip_core([1], [1, 2], 5)]
 
 
 def test_residue_expansion_matches_exact():
@@ -281,6 +284,40 @@ def test_residue_expansion_matches_exact():
                     (text, order, modulus)
     with pytest.raises(ValueError):
         expand_spec_residues(parse("q^5"), 4, M32)
+
+
+def test_residue_series_hold_packed_runs():
+    # Cold, widened, through the exact-then-reduced fallback (1/f1^60 at
+    # order 30 is raised by squaring), with a multiplication last and with
+    # no stage, a residue series holds its run in 64-bit slots.  It equals a
+    # Series of the same values in a tuple, reads plain ints and pickles.
+    a3 = Reduced(FAMILIES["a3"].spec, M32)
+    cold = a3.expand(1100)
+    wide, _ = a3.expand(2100, cold)
+    assert wide == a3.expand(2100)[0]
+    powered, state = expand_spec_residues(parse("1/f1^60"), 30, M32)
+    assert state is None
+    products, _ = expand_spec_residues(parse("f1^2*f4"), 300, M32)
+    constant, _ = expand_spec_residues(parse("7*q^3"), 300, M32)
+    for series in (cold[0], wide, powered, products, constant):
+        assert isinstance(series.coeffs, array) and series.coeffs.itemsize == 8
+        same = Series(series.lead, tuple(series.coeffs), series.valid_to)
+        assert series == same and same == series
+        assert series != Series(series.lead, (series.coeffs[0] + 1,), series.valid_to)
+        assert type(series.coefficient(series.lead)) is int
+        back = pickle.loads(pickle.dumps(series))
+        assert back == series and isinstance(back.coeffs, array)
+
+
+def test_residue_modulus_past_a_64_bit_slot_is_refused():
+    spec = FAMILIES["a3"].spec
+    with pytest.raises(ValueError, match="64-bit slot"):
+        Reduced(spec, 2 ** 64 + 1)
+    with pytest.raises(ValueError, match="64-bit slot"):
+        expand_spec_residues(spec, 10, 2 ** 64 + 1)
+    # At 2^64 every residue still fits a slot.
+    got, _ = Reduced(spec, 2 ** 64).expand(20)
+    assert got.coefficients(0, 20) == expand_spec(spec, 20).coefficients(0, 20)
 
 
 def test_import_qhuff_leaves_residues_unloaded():

@@ -1,3 +1,6 @@
+import pickle
+from array import array
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -318,3 +321,21 @@ def test_resumed_product_matches_schoolbook(a, b, length, data):
             for n in range(length)]
     assert _mul_core(a, b, length, start) == full[start:]
     assert _mul_core(tuple(a), tuple(b), length, start) == full[start:]
+
+
+def test_packed_residue_run_is_kept_as_given():
+    # An array run is kept, trimmed by slicing: the caller's array is left
+    # as it was.  It compares by value with a tuple run, reads plain ints
+    # and pickles as an array.
+    run = array("Q", [0, 3, 0, 5, 0, 0, 7])
+    s = Series(2, run, 7)
+    assert isinstance(s.coeffs, array) and list(s.coeffs) == [3, 0, 5]
+    assert s.lead == 3 and list(run) == [0, 3, 0, 5, 0, 0, 7]
+    whole = array("Q", [1, 2])
+    assert Series(0, whole, 5).coeffs is whole and Series(0, whole, 0).coeffs == array("Q", [1])
+    tupled = Series(3, (3, 0, 5), 7)
+    assert s == tupled and tupled == s and s != Series(3, (3, 0, 6), 7)
+    assert s != Series(3, (3, 0, 5), 8)
+    assert type(s.coefficient(5)) is int and s.coefficients(2, 7) == [0, 3, 0, 5, 0, 0]
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and isinstance(back.coeffs, array)

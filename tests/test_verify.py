@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+from array import array
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -18,7 +19,7 @@ from qhuff.verify import (CLAIM_MODULUS, REGRESSION_CLAIMS, RESIDUE_EXPONENT,
                           SeriesCache, SuiteReport,
                           a3_ladder_claims, a9_ladder_claims, congruent_up_to,
                           exact_div, identity_suite, matrix_suite,
-                          oracle_count, oracle_suite, ring_law_suite,
+                          oracle_count, oracle_counts, oracle_suite, ring_law_suite,
                           theorem_suite, vector_suite, verify_claim)
 
 
@@ -29,6 +30,8 @@ def test_oracle_counts():
     assert oracle_count("a", 4) == 9
     assert oracle_count("a9", 2) == 3
     assert oracle_count("b", 3) == 14
+    for family in ("p", "a", "b", "a3", "a9"):
+        assert oracle_counts(family, 12) == [oracle_count(family, n) for n in range(13)]
 
 
 def test_oracle_guards():
@@ -39,6 +42,8 @@ def test_oracle_guards():
         oracle_count("nope", 3)
     with pytest.raises(ValueError):
         oracle_count("p", -1)
+    with pytest.raises(BudgetExceeded, match="oracle weight 61 exceeds the cap 60"):
+        oracle_counts("p", 61)
 
 
 def test_exact_div():
@@ -234,6 +239,7 @@ def test_fill_matches_sequential(workers):
         exact = expand_spec(FAMILIES[name].spec, POOLED)
         got = cache.spec(Reduced(FAMILIES[name].spec, M), POOLED)
         assert got.valid_to == POOLED
+        assert isinstance(got.coeffs, array) and got.coeffs.itemsize == 8
         assert got.coefficients(0, POOLED) == \
             [c % M for c in exact.coefficients(0, POOLED)]
         # Exact lookups never see the residues.
@@ -592,9 +598,15 @@ def test_identity_suite_reduced(cache):
         identity_suite(order=10)
 
 
-def test_oracle_suite(cache):
+def test_oracle_suite(cache, monkeypatch):
+    # One enumeration per family gives every count through n_max.
+    calls = []
+    counts = verify.oracle_counts
+    monkeypatch.setattr(verify, "oracle_counts",
+                        lambda family, n_max: calls.append(n_max) or counts(family, n_max))
     report = oracle_suite(30, cache=cache)
     assert report.passed
+    assert calls == [30] * 5
     assert sorted(i.item for i in report.items) == \
         ["a counts", "a3 counts", "a9 counts", "b counts", "p counts"]
 
