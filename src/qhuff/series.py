@@ -8,8 +8,9 @@ propagates the bound conservatively, so a coefficient can only ever be read
 when the inputs actually determine it.
 
 Coefficients read as plain ``int`` and grow without bound; a residue
-series holds its run in 64-bit slots, an ``array('Q')``.  Instances are
-immutable and safe to share between pipelines.
+series holds its run in 4- or 8-byte slots, an ``array('I')`` or
+``array('Q')``.  Instances are immutable and safe to share between
+pipelines.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ class Series:
     """Truncated Laurent series in canonical form.
 
     ``coeffs[i]`` holds the coefficient of ``q**(lead + i)``: a tuple, or
-    an ``array`` of 64-bit slots kept as given (a residue series), compared
-    by value either way.  The lead coefficient is nonzero unless the series
+    an ``array`` of 4- or 8-byte slots kept as given (a residue series),
+    compared by value either way.  The lead coefficient is nonzero unless the series
     is zero (empty run), and no coefficient is stored past ``valid_to``.
     The additive zero built by :meth:`zero` carries an infinite bound;
     zeros that arise from cancellation keep the finite bound of their

@@ -6,11 +6,13 @@ two routes is meaningful.  Claim checks expand the family's generating
 function once to the largest index needed, then test divisibility of the
 coefficients along the progression.  Claims read residues, not exact
 coefficients: :func:`verify_claim` those mod CLAIM_MODULUS, the theorem
-suite those mod 3**RESIDUE_EXPONENT.  Residues mod M decide every claim
-mod b^k with b^k dividing M, and give every b-adic valuation below K_b
-exactly, K_b being the largest k with b^k dividing M; a valuation of K_b
-or more reads ``AtLeast(K_b)``.  Claims past K_b are refused.  Identity
-checks, reconstructions and the oracle check read exact series.
+suite those mod 3**RESIDUE_EXPONENT, after a first scan mod a smaller
+power of 3 that divides in 4-byte slots (see :func:`theorem_suite`).
+Residues mod M decide every claim mod b^k with b^k dividing M, and give
+every b-adic valuation below K_b exactly, K_b being the largest k with
+b^k dividing M; a valuation of K_b or more reads ``AtLeast(K_b)``.
+Claims past K_b are refused.  Identity checks, reconstructions and the
+oracle check read exact series.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ __all__ = [
 
 ORACLE_CAP = 60
 
-# The theorem suite scans residues mod 3**RESIDUE_EXPONENT.  Packed
-# division keeps each residue in a 64-bit slot with room for one window
-# per divisor term: 3**32 < 2**51 leaves 13 bits, room for 9953 packed
-# terms, which f1 passes only beyond order 3.7e7.  The shipped ladders
-# need exponents up to 4.
+# The theorem suite's residues are exact below 3**RESIDUE_EXPONENT.  In
+# 8-byte slots, packed division keeps each residue with room for one
+# window per divisor term: 3**32 < 2**51 leaves 13 bits, room for 9953
+# packed terms, which f1 passes only beyond order 3.7e7.  The suite first
+# scans mod a smaller 3**K whose divisions fit 4-byte slots (see
+# :func:`_suite_exponent`); the shipped ladders need exponents up to 4.
 RESIDUE_EXPONENT = 32
 
 # verify_claim scans residues mod CLAIM_MODULUS.  One modulus for every
@@ -53,12 +56,14 @@ CLAIM_MODULUS = 2 ** 10 * 3 ** 8 * 5 ** 5 * 7 ** 4
 # Smallest order at which expanding families in worker processes pays.
 # A split fill starts one worker per group anew (fork: a few ms) and
 # expands the last group in the caller.  On a 2-CPU Linux host (fork
-# start), filling the residues of a3 and a9 split against in one process
-# took 58 against 49 ms at order 5000, 52 against 78 at 6000, 65 against
-# 107 at 8000 and 285 against 547 at 30000 (medians of 15, interleaved,
-# with far windows cut from block ints); the break-even is still between
-# 5000 and 6000.  The floor sits where the gain, about 40%, is nearly as
-# clear as at 30000.
+# start), filling the residues of a3 and a9 mod 3^K in 4-byte slots (the
+# theorem suite's K, 15 or 16 at these orders) split against in one
+# process took, in three sets of medians of 15 interleaved: at order 5000
+# 28.4 against 24.3 ms and 24.9 against 29.2, at 6000 34.9 against 30.1
+# and 22.8 against 38.5, at 8000 42.4 against 41.9, 30.2 against 47.5 and
+# 40.0 against 42.3, and at 30000 117 against 187.  The break-even moves
+# with the host's load between 5000 and 8000; the floor stays where the
+# split never lost.
 POOL_MIN_ORDER = 8000
 
 
@@ -323,11 +328,14 @@ class SeriesCache:
         self.stats = dict.fromkeys(
             ("hits", "widenings", "misses", "discarded_coeffs"), 0)
 
-    def fill(self, orders):
-        """Store residues mod 3**RESIDUE_EXPONENT of the families of ``orders``.
+    def fill(self, orders, modulus=3 ** RESIDUE_EXPONENT):
+        """Store residues mod ``modulus`` of the families of ``orders``.
 
         ``orders`` maps family names to the order each must reach; the
-        residues are then read with ``spec(Reduced(...))``.  When each
+        residues are then read with ``spec(Reduced(...))``.  They are held
+        in 4-byte slots where every division fits them (see
+        ``residues.slot_width``), as the theorem suite's modulus is chosen
+        to, else in 8-byte slots.  When each
         family missing or too narrow needs ``POOL_MIN_ORDER`` coefficients,
         they are dealt in turn into one group per usable CPU (no more groups
         than families), and :func:`run_jobs` expands every group but the
@@ -338,7 +346,7 @@ class SeriesCache:
         """
         pending = {}
         for name, order in orders.items():
-            spec = _reduced(name, 3 ** RESIDUE_EXPONENT)
+            spec = _reduced(name, modulus)
             key = spec.render()
             if self._stored(key, order) is None:
                 pending[key] = spec, order, self._prior(key)
@@ -520,24 +528,28 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     Every claim's exponent is checked against RESIDUE_EXPONENT, and its
     range derived and checked against the budget, before anything is
     expanded; a claim past 3**RESIDUE_EXPONENT is refused with a
-    ValueError.  Each family's residues mod 3**RESIDUE_EXPONENT are then
-    expanded once, to the widest ``stride*n_max + offset`` among its
-    claims, through :meth:`SeriesCache.fill` (a3 in a worker process while
-    a9 is expanded here, when two CPUs are usable and each needs
-    ``POOL_MIN_ORDER`` coefficients), and the scans read them through
-    :meth:`SeriesCache.spec`.  Failures are those of the exact
-    coefficients, and so is ``min_valuation`` below RESIDUE_EXPONENT; a
-    valuation of RESIDUE_EXPONENT or more, as when every residue is zero,
-    reads ``AtLeast(RESIDUE_EXPONENT)``.  ``expand_ms`` on the report is
-    the time the fill took, ``scan_ms`` that of the scans.
+    ValueError.  Each family's residues mod 3**K are then expanded once,
+    to the widest ``stride*n_max + offset`` among its claims, through
+    :meth:`SeriesCache.fill` (a3 in a worker process while a9 is expanded
+    here, when two CPUs are usable and each needs ``POOL_MIN_ORDER``
+    coefficients), and the scans read them through :meth:`SeriesCache.spec`.
+    K is :func:`_suite_exponent`'s: the largest exponent up to
+    RESIDUE_EXPONENT whose divisions fit 4-byte slots, if no claim needs
+    more.  A family with a claim whose valuation reads ``AtLeast(K)`` is
+    expanded again, and all its claims scanned again, mod
+    3**RESIDUE_EXPONENT.  So failures are those of the exact coefficients,
+    and so is ``min_valuation`` below RESIDUE_EXPONENT; a valuation of
+    RESIDUE_EXPONENT or more, as when every residue is zero, reads
+    ``AtLeast(RESIDUE_EXPONENT)``.  ``expand_ms`` on the report is the
+    time the fills took, ``scan_ms`` that of the scans.
     """
     cache = cache or SeriesCache()
     report = SuiteReport("theorems")
     ranges = []
     widest = {}
-    modulus = 3 ** RESIDUE_EXPONENT
     claims = a3_ladder_claims(alpha_t1) + a9_ladder_claims(alpha_t2)
-    caps = [_residue_cap(claim, modulus) for claim in claims]
+    for claim in claims:
+        _residue_cap(claim, 3 ** RESIDUE_EXPONENT)
     for claim in claims:
         derived = (budget - claim.offset) // claim.stride
         if n_max is not None:
@@ -549,15 +561,50 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
         top = claim.stride * derived + claim.offset
         ranges.append((claim, derived, top))
         widest[claim.family] = max(widest.get(claim.family, 0), top)
-    started = time.perf_counter()
-    cache.fill(widest)
-    filled = time.perf_counter()
-    report.expand_ms = int(1000 * (filled - started))
-    for (claim, derived, top), cap in zip(ranges, caps):
-        series = cache.spec(_reduced(claim.family, modulus), top)
-        report.claims.append(_scan(claim, derived, series, cap))
-    report.scan_ms = int(1000 * (time.perf_counter() - filled))
+    exponent = _suite_exponent(widest, max(c.modulus_exponent for c in claims))
+    scans = [None] * len(ranges)
+    expand_s = scan_s = 0.0
+    orders = widest
+    while orders:
+        modulus = 3 ** exponent
+        started = time.perf_counter()
+        cache.fill(orders, modulus)
+        filled = time.perf_counter()
+        for i, (claim, derived, top) in enumerate(ranges):
+            if claim.family in orders:
+                series = cache.spec(_reduced(claim.family, modulus), top)
+                scans[i] = _scan(claim, derived, series, exponent)
+        expand_s += filled - started
+        scan_s += time.perf_counter() - filled
+        # A valuation of K or more is known exactly only mod 3**RESIDUE_EXPONENT.
+        orders = {} if exponent == RESIDUE_EXPONENT else {
+            r.claim.family: widest[r.claim.family] for r in scans
+            if isinstance(r.min_valuation, AtLeast)}
+        exponent = RESIDUE_EXPONENT
+    report.claims = scans
+    report.expand_ms = int(1000 * expand_s)
+    report.scan_ms = int(1000 * scan_s)
     return report
+
+
+def _suite_exponent(orders, least):
+    """K for the theorem suite: the largest k <= RESIDUE_EXPONENT at which
+    every family of ``orders`` divides in 4-byte slots through its order.
+
+    The slots hold residues below 2^32 with room for the windows (see
+    ``residues.slot_width``), so K falls as the orders widen: from 15
+    through order 30000, where f1 has windowed weight 274, to 14 through
+    200001, weight 721.  Half-width slots halve the bytes every window
+    of the division moves.  If no k of at least ``least``, the largest
+    claim exponent, fits, K is RESIDUE_EXPONENT.
+    """
+    from .residues import slot_width
+
+    for k in range(RESIDUE_EXPONENT, least - 1, -1):
+        if all(slot_width(FAMILIES[name].spec, order, 3 ** k) == 4
+               for name, order in orders.items()):
+            return k
+    return RESIDUE_EXPONENT
 
 
 # -- identity suite ------------------------------------------------------

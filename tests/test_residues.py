@@ -68,15 +68,14 @@ def test_resumed_residue_kernel_matches_one_shot(division, modulus):
     assert whole == [x % modulus for x in _recip_core(num, den, length)]
     splits = [s for s in SPLITS if s < length] + [length]
     for split in splits:
-        packed = bytearray()
-        head = div_residues(num, den, split, modulus, packed)
-        assert len(packed) == 8 * split
-        assert list(head + div_residues(num[split:], den, length, modulus, packed)) == whole
-        assert len(packed) == 8 * length
-    packed, got = bytearray(), []
+        packed = div_residues(num, den, split, modulus)
+        assert len(packed) == split
+        packed = div_residues(num[split:], den, length, modulus, packed)
+        assert list(packed) == whole
+    packed = array("I")
     for split in splits:
-        got += div_residues(num[len(got):], den, split, modulus, packed)
-    assert got == whole
+        packed = div_residues(num[len(packed):], den, split, modulus, packed)
+    assert list(packed) == whole
 
 
 @pytest.mark.parametrize("modulus", [M32, CLAIM_MODULUS])
@@ -94,13 +93,12 @@ def test_weighted_residue_kernel_resumes_on_cube_divisors(k, modulus):
         whole = list(div_residues(num, den, length, modulus))
         assert whole == [x % modulus for x in _recip_core(num, den, length)]
         for split in splits:
-            packed = bytearray()
-            head = div_residues(num, den, split, modulus, packed)
-            assert list(head + div_residues(num[split:], den, length, modulus, packed)) == whole
-        packed, got = bytearray(), []
+            packed = div_residues(num, den, split, modulus)
+            assert list(div_residues(num[split:], den, length, modulus, packed)) == whole
+        packed = array("I")
         for split in splits:
-            got += div_residues(num[len(got):], den, split, modulus, packed)
-        assert got == whole
+            packed = div_residues(num[len(packed):], den, split, modulus, packed)
+        assert list(packed) == whole
 
 
 FAR_RESUMES = (700, 1023, 1024, 1025, 1537, 2049)
@@ -120,19 +118,154 @@ def test_residue_far_windows_across_many_blocks(length, k, cube, sign, modulus):
     den = [sign * c for c in den]
     rng = random.Random(length * k)
     num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(length + 2)]
-    whole = bytearray()
-    want = list(div_residues(num, den, length, modulus, whole))
+    whole = div_residues(num, den, length, modulus)
+    want = list(whole)
     assert want == [x % modulus for x in _recip_core(num, den, length)]
     resumes = [r for r in FAR_RESUMES if r < length]
     for split in resumes:
-        packed = bytearray()
-        head = div_residues(num, den, split, modulus, packed)
-        assert list(head + div_residues(num[split:], den, length, modulus, packed)) == want
-        assert packed == whole
-    packed, got = bytearray(), []
+        packed = div_residues(num, den, split, modulus)
+        assert div_residues(num[split:], den, length, modulus, packed) == whole
+    packed = array("I")
     for split in resumes + [length]:
-        got += div_residues(num[len(got):], den, split, modulus, packed)
-    assert got == want and packed == whole
+        packed = div_residues(num[len(packed):], den, split, modulus, packed)
+    assert packed == whole
+
+
+NARROW_MODULI = (3 ** 14, 3 ** 15, M32, CLAIM_MODULUS)
+
+
+def _window_weight(den, length):
+    """The summed |c| of the divisor terms the kernel reads as windows."""
+    return sum(abs(c) for c in den[residues._SUB:length])
+
+
+@st.composite
+def weighted_divisions(draw):
+    """A divisor whose window weight may pass 2^32 / modulus partway, a
+    numerator and a length for the kernel."""
+    length = draw(st.sampled_from((513, 1100)) | st.integers(1, 1100))
+    terms = {}
+    for lo, hi in ((1, 31), (32, 511), (512, 1100)):  # near, mid and far terms
+        terms.update(draw(st.dictionaries(st.integers(lo, hi),
+                                          st.integers(-400, 400).filter(bool), max_size=6)))
+    den = [draw(st.sampled_from((-1, 1)))] + [0] * max(terms, default=0)
+    for e, c in terms.items():
+        den[e] = c
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    num = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(draw(st.integers(0, length + 2)))]
+    return num, den, length
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_divisions(), st.sampled_from(NARROW_MODULI))
+def test_residue_kernel_slot_widths_match_exact(division, modulus):
+    # A division takes 4-byte slots while (weight + 1) * modulus <= 2^32
+    # and 8-byte ones past it.  Cold, and resumed at the block edge, at the
+    # first length past the bound and through every split in turn, the
+    # residues are the exact quotient's; a resumed 4-byte stage is widened
+    # past the bound and keeps 8-byte slots once it has them.
+    num, den, length = division
+    want = [x % modulus for x in _recip_core(num, den, length)]
+
+    def width(n):
+        return 4 if (_window_weight(den, n) + 1) * modulus <= 2 ** 32 else 8
+
+    whole = div_residues(num, den, length, modulus)
+    assert list(whole) == want and whole.itemsize == width(length)
+    cross = next((n for n in range(length + 1) if width(n) == 8), length)
+    splits = sorted({s for s in (1, cross - 1, cross, cross + 1, 511, 512, 513)
+                     if 0 < s < length}) + [length]
+    for split in splits:
+        head = div_residues(num, den, split, modulus)
+        assert head.itemsize == width(split)
+        packed = div_residues(num[split:], den, length, modulus, head)
+        assert list(packed) == want and packed.itemsize == width(length)
+        assert (packed is head) == (head.itemsize == packed.itemsize)
+    packed = array("I")
+    for split in splits:
+        packed = div_residues(num[len(packed):], den, split, modulus, packed)
+        assert packed.itemsize == width(split)
+    assert list(packed) == want
+    # Stored 8-byte slots stay 8 bytes wide where 4 would do.
+    wide = div_residues(num, den, length, modulus, array("Q"))
+    assert list(wide) == want and wide.itemsize == 8
+
+
+def test_residue_widening_past_the_4_byte_bound_recomputes_nothing(monkeypatch):
+    # Mod 3^19, 2 * 3^19 <= 2^32 < 3 * 3^19: f1 divides in 4-byte slots
+    # while its windows weigh 1 (q^35 alone, through q^39), and a3's
+    # divisions through q^1100 take 8-byte ones.  The widening converts
+    # the stored 4-byte stage and divides only the new coefficients.
+    divided = []
+    kernel = residues.div_residues
+
+    def counted(num, den, length, modulus, packed):
+        divided.append((len(packed), length - len(packed), packed.itemsize))
+        return kernel(num, den, length, modulus, packed)
+
+    monkeypatch.setattr(residues, "div_residues", counted)
+    key = Reduced(FAMILIES["a3"].spec, 3 ** 19)
+    narrow, state = key.expand(39)
+    stored = state[1][-1]  # f1's stage; f2's is the series
+    assert narrow.coeffs.itemsize == 4 and stored.itemsize == 4
+    assert divided == [(0, 40, 4)] * 2
+    divided.clear()
+    wide, _ = key.expand(1100, (narrow, state))
+    assert divided == [(40, 1061, 4)] * 2
+    # The stored state is left as it was.
+    assert wide.coeffs.itemsize == 8 and stored.itemsize == 4 and len(stored) == 40
+    assert wide == key.expand(1100)[0]
+    assert wide.coefficients(0, 1100) == \
+        [c % 3 ** 19 for c in expand_spec(key.spec, 1100).coefficients(0, 1100)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 18])
+def test_residue_eta_weight_closed_form_matches_the_built_factor(k):
+    # The weight slot_width() reads for f_k, the number of its terms from
+    # q^_SUB through the order, on each side of every exponent k g.
+    pentagonal = [j * (3 * j + d) // 2 for j in range(1, 40) for d in (-1, 1)]
+    edges = {k * g + d for g in pentagonal for d in (-1, 0, 1)}
+    for order in sorted(edges.union(range(121))):
+        built = expand_eta(k, order).coeffs
+        want = sum(abs(c) for e, c in enumerate(built) if residues._SUB <= e <= order)
+        assert residues._eta_weight(k, order) == want, order
+    assert residues._eta_weight(1, 30000) == 274
+    assert residues._eta_weight(1, 200001) == 721
+
+
+@pytest.mark.parametrize("text", ["1/f1", "f2/(q^2*f1)", "1/f1^3", "f1^2*f4", "1/f1^60"])
+def test_residue_slot_width_is_the_series_width(text):
+    # For a spec with at most one division the series' run is the stage of
+    # that division, so its slots are as wide as slot_width says.
+    spec = parse(text)
+    for exponent in (14, 15, 19, 20, 32):
+        for order in (31, 34, 35, 40, 51, 600, 3000):
+            got, _ = expand_spec_residues(spec, order, 3 ** exponent)
+            assert got.coeffs.itemsize == residues.slot_width(spec, order, 3 ** exponent), \
+                (exponent, order)
+    assert residues.slot_width(FAMILIES["a3"].spec, 30000, 3 ** 15) == 4
+    assert residues.slot_width(FAMILIES["a3"].spec, 30000, 3 ** 16) == 8
+    assert residues.slot_width(FAMILIES["a9"].spec, 200001, 3 ** 14) == 4
+    assert residues.slot_width(FAMILIES["a9"].spec, 200001, 3 ** 15) == 8
+
+
+def test_residue_widening_peaks_no_higher_than_a_cold_expansion():
+    # A widening reads its prior's slots, not a list of Python ints.
+    import tracemalloc
+
+    key = Reduced(FAMILIES["a3"].spec, M32)
+    cache = SeriesCache()
+    cache.spec(key, 10000)
+    tracemalloc.start()
+    try:
+        cache.spec(key, 20000)
+        _, widening = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        key.expand(20000)
+        _, cold = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert widening <= cold
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 18])
@@ -418,7 +551,7 @@ def test_exact_widening_divides_only_new_coefficients(monkeypatch):
     def divide(num, den, length, out):
         new = _recip_core(num, den, length, out)
         divided.append((len(out) - len(new), len(new)))
-        return new
+        return out, new
 
     multiply = residues._Exact.multiply
 

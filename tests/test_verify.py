@@ -171,8 +171,10 @@ def _check_widenings(cache, family, modulus, orders):
 
 
 def test_reduced_widening_matches_cold_residues():
+    # Mod 3 the residues of p, a, a3 and a9 through q^40 end in zeros,
+    # which the stored series leaves out and a widening reads as 0.
     for family in FAMILIES:
-        for modulus in (M, CLAIM_MODULUS):
+        for modulus in (M, CLAIM_MODULUS, 3):
             cache = SeriesCache()
             _check_widenings(cache, family, modulus, WIDENINGS)
             assert cache.stats == {"hits": 0, "widenings": 2, "misses": 1,
@@ -300,9 +302,9 @@ def test_fill_honours_n_max():
     seen = []
 
     class Recording(SeriesCache):
-        def fill(self, orders):
+        def fill(self, orders, modulus):
             seen.append(dict(orders))
-            super().fill(orders)
+            super().fill(orders, modulus)
 
     theorem_suite(3000, n_max=5, cache=Recording())
     # a3[729n+668] reaches n = 3 within the budget, a9[81n+80] is capped at 5.
@@ -346,7 +348,7 @@ class FixedResidues:
     def __init__(self, coeffs, valid_to):
         self.series = Series(0, coeffs, valid_to)
 
-    def fill(self, orders):
+    def fill(self, orders, modulus):
         pass
 
     def spec(self, spec, valid_to):
@@ -370,6 +372,47 @@ def test_residue_scan_of_zeros_reads_at_least_k():
     assert report.claims[1].claim.claim_id == "a3[3n+2]%3"
     assert report.claims[1].min_valuation == 31
     assert type(report.claims[1].min_valuation) is int
+
+
+def test_residue_suite_exponent_fits_4_byte_slots():
+    # f1's windows weigh 274 through q^30000 and 721 through q^200001.
+    assert verify._suite_exponent({"a3": 30000, "a9": 30000}, 4) == 15
+    assert verify._suite_exponent({"a3": 200001, "a9": 30000}, 4) == 14
+    # No exponent of at least 16 fits through q^30000: the suite keeps 3^32.
+    assert verify._suite_exponent({"a3": 30000}, 16) == RESIDUE_EXPONENT
+
+
+def test_fill_suite_reads_4_byte_residues(workers):
+    # Pooled, the worker's reply keeps its 4-byte slots.
+    cache = SeriesCache()
+    theorem_suite(POOLED + 200, cache=cache)
+    assert len(workers) == 1
+    assert verify._suite_exponent({"a3": POOLED + 200, "a9": POOLED + 200}, 4) == 15
+    for name in ("a3", "a9"):
+        misses = cache.stats["misses"]
+        got = cache.spec(Reduced(FAMILIES[name].spec, 3 ** 15), POOLED)
+        assert cache.stats["misses"] == misses and got.coeffs.itemsize == 4
+
+
+def test_residue_suite_rescans_at_least_k_mod_3_to_the_32(monkeypatch):
+    # With K forced down to the largest claim exponent, a3's claims mod 81
+    # read AtLeast(4) mod 3^4: a3 alone is expanded again mod 3^32 and
+    # rescanned, and the report is the one a 3^32 scan gives.
+    fills = []
+
+    class Recording(SeriesCache):
+        def fill(self, orders, modulus):
+            fills.append((sorted(orders), modulus))
+            super().fill(orders, modulus)
+
+    monkeypatch.setattr(verify, "_suite_exponent", lambda orders, least: least)
+    low = theorem_suite(3000, alpha_t2=1, cache=Recording())
+    assert fills == [(["a3", "a9"], 3 ** 4), (["a3"], 3 ** RESIDUE_EXPONENT)]
+    monkeypatch.setattr(verify, "_suite_exponent", lambda orders, least: RESIDUE_EXPONENT)
+    full = theorem_suite(3000, alpha_t2=1, cache=Recording())
+    assert fills[2:] == [(["a3", "a9"], 3 ** RESIDUE_EXPONENT)]
+    assert timeless(low) == timeless(full)
+    assert [c.min_valuation for c in low.claims if c.claim.modulus == 81] == [4, 4]
 
 
 def test_residue_exponent_above_k_refused(workers):
