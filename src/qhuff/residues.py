@@ -52,9 +52,9 @@ a residue slot.
   slots, which halve the bytes every window moves; past it 8-byte ones;
   past 2^64 it is not taken.  A stored stage keeps its width: a wider
   order whose weight passes 2^32 copies its 4-byte slots into 8-byte ones,
-  one C-level conversion, and computes nothing again.  :func:`slot_width`
-  gives the width from the plan alone, and the theorem suite picks its
-  modulus by it.  The division reads each completed block of _BLOCK
+  one C-level conversion, and computes nothing again.  Only the kernel
+  picks the width, from the divisor it holds; the theorem suite scans
+  mod 3^13 to fit 4 bytes.  The division reads each completed block of _BLOCK
   outputs from the slots once, into one int with the block after it, and
   cuts the window of a far term from such a pair with a shift and a mask;
   nearer windows are read from the bytes.  A Jacobi cube's weight grows
@@ -381,21 +381,6 @@ def _cube_weight(k, inner):
     return max(top * top - low * low, 0)
 
 
-def _pentagonals(m):
-    """The number of generalized pentagonal numbers j(3j -+ 1)/2, j >= 1, at most m."""
-    r = isqrt(24 * m + 1)
-    return (r + 1) // 6 + (r - 1) // 6
-
-
-def _eta_weight(k, inner):
-    """The summed |c| of the terms c q^e of f_k with _SUB <= e <= inner.
-
-    By Euler's pentagonal theorem f_k has one term +-q^(k g) for each
-    generalized pentagonal number g, so every |c| is 1.
-    """
-    return max(_pentagonals(inner // k) - _pentagonals((_SUB - 1) // k), 0)
-
-
 def _powered(k, e, inner):
     """Whether f_k^|e| through q^inner costs less by ``Series.power``.
 
@@ -667,7 +652,7 @@ def expand_spec_residues(spec, order, modulus, prior=None):
     A divisor f_k^|e| that :func:`_powered` would raise by squaring is too
     costly in sparse steps: then the exact series is reduced, and no state
     is returned.  Either way the series holds its run in 4- or 8-byte
-    slots (see :func:`slot_width`), so a ``modulus`` past 2^64 is refused
+    slots (see :func:`div_residues`), so a ``modulus`` past 2^64 is refused
     with a ValueError.
     """
     _check_order(spec, order)
@@ -682,24 +667,6 @@ def expand_spec_residues(spec, order, modulus, prior=None):
     if prior is not None and not all(route.fits(k, inner) for k, p in prior[1][0] if p == -3):
         prior = None
     return _expand(spec, order, route, prior)
-
-
-def slot_width(spec, order, modulus):
-    """The bytes of a slot of ``spec``'s residues mod ``modulus`` through ``order``.
-
-    4 when every division of a cold expansion's plan keeps its slots
-    below 2^32 (see :func:`div_residues`), with a weight of
-    :func:`_eta_weight` for each f_k and :func:`_cube_weight` for each
-    Jacobi cube, and every residue fits 4 bytes; else 8.
-    """
-    inner = order - spec.qshift
-    route = _Residues(modulus)
-    divisors = {k: e for k, e in spec.factors.items() if k <= inner and e < 0}
-    weight = 0
-    if not _reduced_exactly(spec, inner):
-        weight = max([_cube_weight(k, inner) if p == -3 else _eta_weight(k, inner)
-                      for k, p in _plan(divisors, inner, route.fits) if p < 0], default=0)
-    return 4 if (weight + 1) * modulus <= _NARROW_LIMIT else 8
 
 
 @dataclass(frozen=True)

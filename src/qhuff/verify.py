@@ -6,8 +6,9 @@ two routes is meaningful.  Claim checks expand the family's generating
 function once to the largest index needed, then test divisibility of the
 coefficients along the progression.  Claims read residues, not exact
 coefficients: :func:`verify_claim` those mod CLAIM_MODULUS, the theorem
-suite those mod 3**RESIDUE_EXPONENT, after a first scan mod a smaller
-power of 3 that divides in 4-byte slots (see :func:`theorem_suite`).
+suite those mod 3**RESIDUE_EXPONENT, after a first scan mod
+3**SUITE_EXPONENT, which divides in 4-byte slots (see
+:func:`theorem_suite`).
 Residues mod M decide every claim mod b^k with b^k dividing M, and give
 every b-adic valuation below K_b exactly, K_b being the largest k with
 b^k dividing M; a valuation of K_b or more reads ``AtLeast(K_b)``.
@@ -27,8 +28,8 @@ from .padic import valuation
 from .series import BeyondValidity, INF, Series
 
 __all__ = [
-    "CLAIM_MODULUS", "RESIDUE_EXPONENT", "AtLeast", "BudgetExceeded",
-    "NonIntegralOffset",
+    "CLAIM_MODULUS", "RESIDUE_EXPONENT", "SUITE_EXPONENT", "AtLeast",
+    "BudgetExceeded", "NonIntegralOffset",
     "CongruenceClaim", "ClaimReport", "ItemReport", "SuiteReport",
     "SeriesCache", "valuation", "oracle_count", "oracle_counts",
     "verify_claim", "theorem_suite", "identity_suite", "oracle_suite",
@@ -40,10 +41,16 @@ ORACLE_CAP = 60
 # The theorem suite's residues are exact below 3**RESIDUE_EXPONENT.  In
 # 8-byte slots, packed division keeps each residue with room for one
 # window per divisor term: 3**32 < 2**51 leaves 13 bits, room for 9953
-# packed terms, which f1 passes only beyond order 3.7e7.  The suite first
-# scans mod a smaller 3**K whose divisions fit 4-byte slots (see
-# :func:`_suite_exponent`); the shipped ladders need exponents up to 4.
+# packed terms, which f1 passes only beyond order 3.7e7.
 RESIDUE_EXPONENT = 32
+
+# The theorem suite first scans mod 3**SUITE_EXPONENT; the shipped ladders
+# need exponents up to 4.  ``residues.div_residues`` takes 4-byte slots
+# while (w + 1) * 3**13 <= 2**32, for windowed divisor weights w <= 2692.
+# f1, the heaviest divisor of a3 and a9, weighs 274 through q^30000, 721
+# through q^200001 and passes 2692 only beyond order 2737125; past it the
+# kernel takes 8-byte slots.
+SUITE_EXPONENT = 13
 
 # verify_claim scans residues mod CLAIM_MODULUS.  One modulus for every
 # base keeps one residue series per family; a modulus per base would
@@ -56,14 +63,13 @@ CLAIM_MODULUS = 2 ** 10 * 3 ** 8 * 5 ** 5 * 7 ** 4
 # Smallest order at which expanding families in worker processes pays.
 # A split fill starts one worker per group anew (fork: a few ms) and
 # expands the last group in the caller.  On a 2-CPU Linux host (fork
-# start), filling the residues of a3 and a9 mod 3^K in 4-byte slots (the
-# theorem suite's K, 15 or 16 at these orders) split against in one
-# process took, in three sets of medians of 15 interleaved: at order 5000
-# 28.4 against 24.3 ms and 24.9 against 29.2, at 6000 34.9 against 30.1
-# and 22.8 against 38.5, at 8000 42.4 against 41.9, 30.2 against 47.5 and
-# 40.0 against 42.3, and at 30000 117 against 187.  The break-even moves
-# with the host's load between 5000 and 8000; the floor stays where the
-# split never lost.
+# start), filling the residues of a3 and a9 mod 3^15 or 3^16 in 4-byte
+# slots split against in one process took, in three sets of medians of 15
+# interleaved: at order 5000 28.4 against 24.3 ms and 24.9 against 29.2,
+# at 6000 34.9 against 30.1 and 22.8 against 38.5, at 8000 42.4 against
+# 41.9, 30.2 against 47.5 and 40.0 against 42.3, and at 30000 117
+# against 187.  The break-even moves with the host's load between 5000
+# and 8000; the floor stays where the split never lost.
 POOL_MIN_ORDER = 8000
 
 
@@ -334,8 +340,8 @@ class SeriesCache:
         ``orders`` maps family names to the order each must reach; the
         residues are then read with ``spec(Reduced(...))``.  They are held
         in 4-byte slots where every division fits them (see
-        ``residues.slot_width``), as the theorem suite's modulus is chosen
-        to, else in 8-byte slots.  When each
+        ``residues.div_residues``), as the theorem suite's do mod
+        3**SUITE_EXPONENT, else in 8-byte slots.  When each
         family missing or too narrow needs ``POOL_MIN_ORDER`` coefficients,
         they are dealt in turn into one group per usable CPU (no more groups
         than families), and :func:`run_jobs` expands every group but the
@@ -525,20 +531,20 @@ def a9_ladder_claims(alpha_max):
 def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     """All ladder claims, each checked to its derived range within budget.
 
-    Every claim's exponent is checked against RESIDUE_EXPONENT, and its
-    range derived and checked against the budget, before anything is
-    expanded; a claim past 3**RESIDUE_EXPONENT is refused with a
-    ValueError.  Each family's residues mod 3**K are then expanded once,
-    to the widest ``stride*n_max + offset`` among its claims, through
+    The ladders' largest exponent, alpha_t1 + 2 for a3 and alpha_t2 + 1
+    for a9, is checked against RESIDUE_EXPONENT before any claim is built,
+    and every claim's range derived and checked against the budget before
+    anything is expanded; past 3**RESIDUE_EXPONENT the suite is refused
+    with a ValueError.  Each family's residues mod 3**K are then expanded
+    once, to the widest ``stride*n_max + offset`` among its claims, through
     :meth:`SeriesCache.fill` (a3 in a worker process while a9 is expanded
     here, when two CPUs are usable and each needs ``POOL_MIN_ORDER``
     coefficients), and the scans read them through :meth:`SeriesCache.spec`.
-    K is :func:`_suite_exponent`'s: the largest exponent up to
-    RESIDUE_EXPONENT whose divisions fit 4-byte slots, if no claim needs
-    more.  A family with a claim whose valuation reads ``AtLeast(K)`` is
-    expanded again, and all its claims scanned again, mod
-    3**RESIDUE_EXPONENT.  So failures are those of the exact coefficients,
-    and so is ``min_valuation`` below RESIDUE_EXPONENT; a valuation of
+    K is SUITE_EXPONENT, or RESIDUE_EXPONENT if a claim needs more.  A
+    family with a claim whose valuation reads ``AtLeast(K)`` is expanded
+    again, and all its claims scanned again, mod 3**RESIDUE_EXPONENT.  So
+    failures are those of the exact coefficients, and so is
+    ``min_valuation`` below RESIDUE_EXPONENT; a valuation of
     RESIDUE_EXPONENT or more, as when every residue is zero, reads
     ``AtLeast(RESIDUE_EXPONENT)``.  ``expand_ms`` on the report is the
     time the fills took, ``scan_ms`` that of the scans.
@@ -547,10 +553,13 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     report = SuiteReport("theorems")
     ranges = []
     widest = {}
-    claims = a3_ladder_claims(alpha_t1) + a9_ladder_claims(alpha_t2)
-    for claim in claims:
-        _residue_cap(claim, 3 ** RESIDUE_EXPONENT)
-    for claim in claims:
+    needed = max(alpha_t1 + 2, alpha_t2 + 1)
+    if needed > RESIDUE_EXPONENT:
+        raise ValueError(f"alpha_t1 {alpha_t1} and alpha_t2 {alpha_t2} need claims mod "
+                         f"3^{needed}, past 3^{RESIDUE_EXPONENT}, the largest power of "
+                         f"3 the theorem suite's residues decide")
+    exponent = SUITE_EXPONENT if needed <= SUITE_EXPONENT else RESIDUE_EXPONENT
+    for claim in a3_ladder_claims(alpha_t1) + a9_ladder_claims(alpha_t2):
         derived = (budget - claim.offset) // claim.stride
         if n_max is not None:
             derived = min(derived, n_max)
@@ -561,7 +570,6 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
         top = claim.stride * derived + claim.offset
         ranges.append((claim, derived, top))
         widest[claim.family] = max(widest.get(claim.family, 0), top)
-    exponent = _suite_exponent(widest, max(c.modulus_exponent for c in claims))
     scans = [None] * len(ranges)
     expand_s = scan_s = 0.0
     orders = widest
@@ -585,26 +593,6 @@ def theorem_suite(budget, alpha_t1=2, alpha_t2=3, n_max=None, cache=None):
     report.expand_ms = int(1000 * expand_s)
     report.scan_ms = int(1000 * scan_s)
     return report
-
-
-def _suite_exponent(orders, least):
-    """K for the theorem suite: the largest k <= RESIDUE_EXPONENT at which
-    every family of ``orders`` divides in 4-byte slots through its order.
-
-    The slots hold residues below 2^32 with room for the windows (see
-    ``residues.slot_width``), so K falls as the orders widen: from 15
-    through order 30000, where f1 has windowed weight 274, to 14 through
-    200001, weight 721.  Half-width slots halve the bytes every window
-    of the division moves.  If no k of at least ``least``, the largest
-    claim exponent, fits, K is RESIDUE_EXPONENT.
-    """
-    from .residues import slot_width
-
-    for k in range(RESIDUE_EXPONENT, least - 1, -1):
-        if all(slot_width(FAMILIES[name].spec, order, 3 ** k) == 4
-               for name, order in orders.items()):
-            return k
-    return RESIDUE_EXPONENT
 
 
 # -- identity suite ------------------------------------------------------

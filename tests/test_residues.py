@@ -219,36 +219,6 @@ def test_residue_widening_past_the_4_byte_bound_recomputes_nothing(monkeypatch):
         [c % 3 ** 19 for c in expand_spec(key.spec, 1100).coefficients(0, 1100)]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 7, 18])
-def test_residue_eta_weight_closed_form_matches_the_built_factor(k):
-    # The weight slot_width() reads for f_k, the number of its terms from
-    # q^_SUB through the order, on each side of every exponent k g.
-    pentagonal = [j * (3 * j + d) // 2 for j in range(1, 40) for d in (-1, 1)]
-    edges = {k * g + d for g in pentagonal for d in (-1, 0, 1)}
-    for order in sorted(edges.union(range(121))):
-        built = expand_eta(k, order).coeffs
-        want = sum(abs(c) for e, c in enumerate(built) if residues._SUB <= e <= order)
-        assert residues._eta_weight(k, order) == want, order
-    assert residues._eta_weight(1, 30000) == 274
-    assert residues._eta_weight(1, 200001) == 721
-
-
-@pytest.mark.parametrize("text", ["1/f1", "f2/(q^2*f1)", "1/f1^3", "f1^2*f4", "1/f1^60"])
-def test_residue_slot_width_is_the_series_width(text):
-    # For a spec with at most one division the series' run is the stage of
-    # that division, so its slots are as wide as slot_width says.
-    spec = parse(text)
-    for exponent in (14, 15, 19, 20, 32):
-        for order in (31, 34, 35, 40, 51, 600, 3000):
-            got, _ = expand_spec_residues(spec, order, 3 ** exponent)
-            assert got.coeffs.itemsize == residues.slot_width(spec, order, 3 ** exponent), \
-                (exponent, order)
-    assert residues.slot_width(FAMILIES["a3"].spec, 30000, 3 ** 15) == 4
-    assert residues.slot_width(FAMILIES["a3"].spec, 30000, 3 ** 16) == 8
-    assert residues.slot_width(FAMILIES["a9"].spec, 200001, 3 ** 14) == 4
-    assert residues.slot_width(FAMILIES["a9"].spec, 200001, 3 ** 15) == 8
-
-
 def test_residue_widening_peaks_no_higher_than_a_cold_expansion():
     # A widening reads its prior's slots, not a list of Python ints.
     import tracemalloc

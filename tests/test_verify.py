@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+import time
 from array import array
 from concurrent.futures.process import BrokenProcessPool
 
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhuff import cli, verify
-from qhuff.eta import FAMILIES, expand_spec, parse
+from qhuff import cli, residues, verify
+from qhuff.eta import FAMILIES, expand_eta, expand_spec, parse
 from qhuff.padic import valuation
 from qhuff.residues import Reduced
 from qhuff.series import INF, BeyondValidity, Series
 from qhuff.verify import (CLAIM_MODULUS, REGRESSION_CLAIMS, RESIDUE_EXPONENT,
-                          AtLeast, BudgetExceeded, ClaimReport,
+                          SUITE_EXPONENT, AtLeast, BudgetExceeded, ClaimReport,
                           CongruenceClaim, NonIntegralOffset,
                           SeriesCache, SuiteReport,
                           a3_ladder_claims, a9_ladder_claims, congruent_up_to,
@@ -374,12 +375,15 @@ def test_residue_scan_of_zeros_reads_at_least_k():
     assert type(report.claims[1].min_valuation) is int
 
 
-def test_residue_suite_exponent_fits_4_byte_slots():
-    # f1's windows weigh 274 through q^30000 and 721 through q^200001.
-    assert verify._suite_exponent({"a3": 30000, "a9": 30000}, 4) == 15
-    assert verify._suite_exponent({"a3": 200001, "a9": 30000}, 4) == 14
-    # No exponent of at least 16 fits through q^30000: the suite keeps 3^32.
-    assert verify._suite_exponent({"a3": 30000}, 16) == RESIDUE_EXPONENT
+def test_residue_suite_exponent_divides_f1_in_4_byte_slots():
+    # f1 is the heaviest divisor of a3 and a9.  Its terms from q^_SUB on,
+    # which div_residues reads as windows, weigh 721 through q^200001,
+    # the CLI's default order, and keep a slot mod 3^SUITE_EXPONENT below
+    # 2^32 there.
+    weight = sum(abs(c) for e, c in enumerate(expand_eta(1, 200001).coeffs)
+                 if e >= residues._SUB)
+    assert weight == 721
+    assert (weight + 1) * 3 ** SUITE_EXPONENT <= 2 ** 32
 
 
 def test_fill_suite_reads_4_byte_residues(workers):
@@ -387,17 +391,17 @@ def test_fill_suite_reads_4_byte_residues(workers):
     cache = SeriesCache()
     theorem_suite(POOLED + 200, cache=cache)
     assert len(workers) == 1
-    assert verify._suite_exponent({"a3": POOLED + 200, "a9": POOLED + 200}, 4) == 15
     for name in ("a3", "a9"):
         misses = cache.stats["misses"]
-        got = cache.spec(Reduced(FAMILIES[name].spec, 3 ** 15), POOLED)
+        got = cache.spec(Reduced(FAMILIES[name].spec, 3 ** SUITE_EXPONENT), POOLED)
         assert cache.stats["misses"] == misses and got.coeffs.itemsize == 4
 
 
 def test_residue_suite_rescans_at_least_k_mod_3_to_the_32(monkeypatch):
-    # With K forced down to the largest claim exponent, a3's claims mod 81
+    # With SUITE_EXPONENT at the largest claim exponent, a3's claims mod 81
     # read AtLeast(4) mod 3^4: a3 alone is expanded again mod 3^32 and
-    # rescanned, and the report is the one a 3^32 scan gives.
+    # rescanned.  Below it the suite scans mod 3^32 at once.  Either way
+    # the report is the one a 3^32 scan gives.
     fills = []
 
     class Recording(SeriesCache):
@@ -405,19 +409,22 @@ def test_residue_suite_rescans_at_least_k_mod_3_to_the_32(monkeypatch):
             fills.append((sorted(orders), modulus))
             super().fill(orders, modulus)
 
-    monkeypatch.setattr(verify, "_suite_exponent", lambda orders, least: least)
+    monkeypatch.setattr(verify, "SUITE_EXPONENT", 4)
     low = theorem_suite(3000, alpha_t2=1, cache=Recording())
     assert fills == [(["a3", "a9"], 3 ** 4), (["a3"], 3 ** RESIDUE_EXPONENT)]
-    monkeypatch.setattr(verify, "_suite_exponent", lambda orders, least: RESIDUE_EXPONENT)
-    full = theorem_suite(3000, alpha_t2=1, cache=Recording())
+    monkeypatch.setattr(verify, "SUITE_EXPONENT", 3)
+    below = theorem_suite(3000, alpha_t2=1, cache=Recording())
     assert fills[2:] == [(["a3", "a9"], 3 ** RESIDUE_EXPONENT)]
-    assert timeless(low) == timeless(full)
+    monkeypatch.setattr(verify, "SUITE_EXPONENT", RESIDUE_EXPONENT)
+    full = theorem_suite(3000, alpha_t2=1, cache=Recording())
+    assert fills[3:] == [(["a3", "a9"], 3 ** RESIDUE_EXPONENT)]
+    assert timeless(low) == timeless(below) == timeless(full)
     assert [c.min_valuation for c in low.claims if c.claim.modulus == 81] == [4, 4]
 
 
 def test_residue_exponent_above_k_refused(workers):
     class NoFill(SeriesCache):
-        def fill(self, orders):
+        def fill(self, orders, modulus):
             raise AssertionError("expansion started before the exponent checks")
 
     with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
@@ -425,6 +432,23 @@ def test_residue_exponent_above_k_refused(workers):
     with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
         theorem_suite(10 ** 6, alpha_t2=RESIDUE_EXPONENT, cache=NoFill())
     assert workers == []
+
+
+def test_residue_exponent_of_a_deep_ladder_refused_before_its_claims(monkeypatch):
+    # 4 * 10^6 claims with strides up to 9^(10^6) would take minutes to
+    # build; the ladders' largest exponent is refused first.
+    def built(alpha_max):
+        raise AssertionError("claims built before the exponent check")
+
+    monkeypatch.setattr(verify, "a3_ladder_claims", built)
+    monkeypatch.setattr(verify, "a9_ladder_claims", built)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
+        theorem_suite(1000, alpha_t1=10 ** 6)
+    with pytest.raises(ValueError, match=f"3\\^{RESIDUE_EXPONENT}"):
+        theorem_suite(1000, alpha_t2=10 ** 6)
+    assert cli.main(["verify", "theorems", "-N", "1000", "--alpha-t1", "1000000"]) == 2
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("base", [3, 5, 7])
